@@ -45,6 +45,8 @@
 //
 // Aggregated results are byte-identical across --jobs values: parallelism
 // only changes wall-clock time, never output (see docs/ARCHITECTURE.md).
+// Exit status 2 flags a usage error or a config run_experiment rejects
+// (e.g. --shards above an experiment's n, or --shards with a fault plan).
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -52,6 +54,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -633,10 +636,7 @@ int cmd_minimize(const std::vector<std::string>& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
+int dispatch(const std::vector<std::string>& args) {
   if (args.empty()) return usage(std::cerr, 2);
   const std::vector<std::string> rest{args.begin() + 1, args.end()};
   if (args[0] == "list") return cmd_list();
@@ -650,4 +650,18 @@ int main(int argc, char** argv) {
   }
   std::cerr << "unknown command: " << args[0] << "\n";
   return usage(std::cerr, 2);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return dispatch(std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const std::invalid_argument& err) {
+    // harness::run_experiment rejects configs it cannot honour (e.g. an
+    // override that leaves a shard memberless) instead of reporting
+    // vacuous results.
+    std::cerr << "dynreg_exp: invalid configuration: " << err.what() << "\n";
+    return 2;
+  }
 }

@@ -1,8 +1,7 @@
-// Shared run-assembly builders: the pieces of run_experiment that both the
-// single-register pipeline (harness/experiment.cpp) and the sharded
-// pipeline (shard/sharded_run.cpp) assemble per world — delay model, node
-// factory, designated writers. Kept in one place so the two pipelines can
-// never drift in how a config maps to protocol parameters.
+// Run-assembly builders: the pieces run_experiment assembles per world —
+// delay model, node factory, designated writers. Public so tools that step
+// a world by hand map a config to protocol parameters exactly as the run
+// pipeline does.
 #pragma once
 
 #include <memory>
@@ -22,15 +21,16 @@ inline constexpr Value kInitialValue = 0;
 std::unique_ptr<net::DelayModel> build_delays(const ExperimentConfig& cfg);
 
 /// The node factory for `cfg.protocol`, parameterized on the membership
-/// group's size `n` (== cfg.n for the single-register path; the shard's
+/// group's size `n` (== cfg.n for a single-register run; the shard's
 /// population slice for sharded runs — quorum sizes and the ES retransmit
 /// depth are per-group quantities).
 churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
                                               std::size_t n);
 
-/// Designated writers (pinned: exempt from churn, as in the paper where the
-/// writer stays in the system). Empty when writes are disabled — then nobody
-/// is exempt and the register value must survive on its own.
+/// Designated writers of a single-register run (pinned: exempt from churn,
+/// as in the paper where the writer stays in the system). Empty when writes
+/// are disabled — then nobody is exempt and the register value must survive
+/// on its own.
 std::vector<sim::ProcessId> designated_writers(const ExperimentConfig& cfg);
 
 }  // namespace dynreg::harness

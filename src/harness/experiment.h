@@ -36,10 +36,10 @@ enum class Timing {
 /// Membership dynamics: a static member set or the paper's constant churn.
 enum class ChurnKind { kNone, kConstant };
 
-/// How broadcasts fan out (see net/disseminator.h). kFlat is the paper's
-/// model (sender transmits to every recipient directly); kTree delegates
-/// over a deterministic BFS tree so a write costs the sender O(fanout)
-/// sends instead of O(n).
+/// How broadcasts fan out. kFlat is the paper's model (sender transmits to
+/// every recipient directly); kTree delegates over a deterministic BFS tree
+/// (net/disseminator.h) so a write costs the sender O(fanout) sends instead
+/// of O(n).
 enum class Dissemination { kFlat, kTree };
 
 /// Everything that determines a run. A (config, seed) pair fully determines
@@ -84,9 +84,9 @@ struct ExperimentConfig {
   /// Sharded keyspace (src/shard/): number of independent register groups
   /// the total population n is partitioned into, each with its own network,
   /// membership, designated writer, and history, driven by the keyed
-  /// workload engine. 0 = the single-register path, byte-identical to
-  /// pre-shard builds. Fault plans are ignored when sharded (the injector
-  /// targets the one-system world; E19/E20 arm none).
+  /// workload engine. 0 = one register group driven by `workload`. Must not
+  /// exceed n, and a sharded run must not arm a fault plan (the injector
+  /// targets one group): run_experiment rejects either.
   std::size_t shard_count = 0;
 
   /// churn::ChronicleOptions::aggregate_only for every System this run
@@ -110,10 +110,13 @@ struct ExperimentConfig {
 };
 
 /// Runs one replica to completion: deploys `config.protocol` over the
-/// churn/network substrate, applies the workload until `config.duration`,
-/// then harvests metrics and runs the consistency checkers over the
-/// recorded history. Self-contained and thread-compatible: concurrent calls
-/// share no state, which is what the parallel sweep engine exploits.
+/// churn/network substrate in max(1, shard_count) worlds, applies the
+/// workload until `config.duration`, then harvests metrics and runs the
+/// consistency checkers over every recorded history. Self-contained and
+/// thread-compatible: concurrent calls share no state, which is what the
+/// parallel sweep engine exploits. Throws std::invalid_argument for a config
+/// the pipeline cannot honour (shard_count > n, or a fault plan on a sharded
+/// run) rather than returning vacuous results.
 ///
 /// When the global replay::Session is in record or replay mode this entry
 /// point transparently captures, respectively re-feeds, the run's schedule

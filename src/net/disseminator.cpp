@@ -4,15 +4,6 @@
 
 namespace dynreg::net {
 
-void FlatDisseminator::disseminate(Network& net, sim::ProcessId from,
-                                   const std::vector<sim::ProcessId>& recipients,
-                                   const PayloadPtr& payload) {
-  // Identical draw order and hop shape to the built-in direct path.
-  for (const sim::ProcessId to : recipients) {
-    net.transmit_hop(from, from, to, payload, 0);
-  }
-}
-
 void TreeDisseminator::disseminate(Network& net, sim::ProcessId from,
                                    const std::vector<sim::ProcessId>& recipients,
                                    const PayloadPtr& payload) {

@@ -1,19 +1,14 @@
-// Pluggable broadcast fan-out strategies (the "Disseminator seam", see
-// docs/ARCHITECTURE.md).
+// Optional tree fan-out for broadcasts (see docs/ARCHITECTURE.md).
 //
 // The paper's protocols broadcast constantly — every ES write is one process
 // sending n-1 direct copies, so at n=1e5 a single hot writer pays O(n) sends
-// per operation. A Disseminator decides how one logical broadcast turns into
-// scheduled point-to-point copies:
-//
-//  - FlatDisseminator: the historical direct fan-out — the sender transmits
-//    one copy to every recipient. Reproduces the built-in path draw for
-//    draw, so selecting it keeps runs byte-identical.
-//  - TreeDisseminator: deterministic delegated multicast over an implicit
-//    complete k-ary tree. The sender pushes to its k children; each
-//    recipient forwards to its own children. Latency accumulates along the
-//    path (depth ~ log_k n hops instead of 1), which is the honest price of
-//    reducing the root's send cost from O(n) to O(k).
+// per operation. By default Network::broadcast is that direct fan-out: the
+// sender transmits one copy to every recipient. A TreeDisseminator installed
+// on the Network replaces it with deterministic delegated multicast over an
+// implicit complete k-ary tree. The sender pushes to its k children; each
+// recipient forwards to its own children. Latency accumulates along the
+// path (depth ~ log_k n hops instead of 1), which is the honest price of
+// reducing the root's send cost from O(n) to O(k).
 //
 // Determinism contract: the tree is a pure function of (sorted recipient
 // list, fanout) — position 0 is the sender, position j >= 1 is
@@ -32,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "net/payload.h"
@@ -42,42 +36,20 @@ namespace dynreg::net {
 
 class Network;
 
-class Disseminator {
- public:
-  virtual ~Disseminator() = default;
-
-  /// Schedules one copy of `payload` from `from` towards every id in
-  /// `recipients` (sorted ascending, never containing `from`). Runs at send
-  /// time and only schedules future deliveries through
-  /// Network::transmit_hop — it must not deliver synchronously.
-  virtual void disseminate(Network& net, sim::ProcessId from,
-                           const std::vector<sim::ProcessId>& recipients,
-                           const PayloadPtr& payload) = 0;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-/// Direct fan-out: the sender transmits to every recipient itself.
-class FlatDisseminator final : public Disseminator {
- public:
-  void disseminate(Network& net, sim::ProcessId from,
-                   const std::vector<sim::ProcessId>& recipients,
-                   const PayloadPtr& payload) override;
-  [[nodiscard]] std::string_view name() const override { return "flat"; }
-};
-
 /// Delegated multicast over an implicit complete k-ary tree in recipient-id
 /// order (BFS positions; see file comment for the determinism contract).
-class TreeDisseminator final : public Disseminator {
+class TreeDisseminator {
  public:
   explicit TreeDisseminator(std::uint32_t fanout = 4)
       : fanout_(fanout < 1 ? 1 : fanout) {}
 
+  /// Schedules one copy of `payload` from `from` towards every id in
+  /// `recipients` (sorted ascending, never containing `from`). Runs at send
+  /// time and only schedules future deliveries through
+  /// Network::transmit_hop — it never delivers synchronously.
   void disseminate(Network& net, sim::ProcessId from,
                    const std::vector<sim::ProcessId>& recipients,
-                   const PayloadPtr& payload) override;
-  [[nodiscard]] std::string_view name() const override { return "tree"; }
-  [[nodiscard]] std::uint32_t fanout() const { return fanout_; }
+                   const PayloadPtr& payload);
 
  private:
   std::uint32_t fanout_;

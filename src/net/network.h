@@ -65,23 +65,20 @@ class Network {
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
 
-  /// Installs a fan-out strategy for broadcast(). nullptr (the default)
-  /// keeps the built-in direct loop — the historical, byte-identical path.
-  void set_disseminator(std::unique_ptr<Disseminator> d) {
+  /// Installs tree fan-out for broadcast(). nullptr (the default) keeps the
+  /// direct loop — the paper's model, where the sender transmits every copy.
+  void set_disseminator(std::unique_ptr<TreeDisseminator> d) {
     disseminator_ = std::move(d);
-  }
-  [[nodiscard]] const Disseminator* disseminator() const {
-    return disseminator_.get();
   }
 
   /// One hop of a (possibly relayed) broadcast: the per-copy fate as the
-  /// disseminators see it.
+  /// tree fan-out sees it.
   struct Hop {
     bool lost = false;
     sim::Duration arrival_offset = 0;  ///< vs now(); meaningful when !lost
   };
 
-  /// Disseminator hook: draws the verdict for the physical edge
+  /// Broadcast hop: draws the verdict for the physical edge
   /// (hop_from -> to) and, if the copy survives, schedules its delivery
   /// `base_delay + hop delay` ticks from now with `logical_from` as the
   /// sender the handler observes (relays are transparent transport;
@@ -127,7 +124,7 @@ class Network {
 
   sim::Simulation& sim_;
   std::unique_ptr<DelayModel> delays_;
-  std::unique_ptr<Disseminator> disseminator_;  // nullptr = direct fan-out
+  std::unique_ptr<TreeDisseminator> disseminator_;  // nullptr = direct fan-out
   FaultHook* fault_hook_ = nullptr;             // nullptr = fault-free
   std::vector<sim::ProcessId> recipients_scratch_;
   std::vector<Slot> slots_;  // dense, indexed by ProcessId

@@ -58,20 +58,15 @@ class ReplayDelayModel final : public net::DelayModel {
       if (r.lost) return {true, 0};
       return {false, r.delay < 1 ? sim::Duration{1} : r.delay};
     }
-    ++fallback_draws_;
     if (loss_rate > 0.0 && fallback_.bernoulli(loss_rate)) return {true, 0};
     return {false, fallback_.uniform_int(1, max_delay_)};
   }
-
-  [[nodiscard]] std::size_t consumed() const { return next_; }
-  [[nodiscard]] std::uint64_t fallback_draws() const { return fallback_draws_; }
 
  private:
   std::shared_ptr<const Trace> trace_;
   sim::Duration max_delay_;
   sim::Rng fallback_;
   std::size_t next_ = 0;
-  std::uint64_t fallback_draws_ = 0;
 };
 
 /// Replays the churn stream as a scripted model: each churn tick executes,
@@ -80,18 +75,17 @@ class ReplayDelayModel final : public net::DelayModel {
 /// every action executed exactly once). Install only when the recorded run
 /// drove a churn tick loop (Trace::churn_loop) so the tick-event cadence —
 /// part of the audited event stream — matches the recording.
+///
+/// The model executes only the records tagged `shard`, skipping (and
+/// permanently passing over) the rest. An unsharded run's records all carry
+/// shard 0, so its one model executes every record; in a sharded run every
+/// shard's model scans the shared stream with its own cursor, and since all
+/// shards tick at the same cadence each record is executed by exactly its
+/// owner exactly once.
 class ReplayChurnModel final : public churn::ChurnModel {
  public:
-  explicit ReplayChurnModel(std::shared_ptr<const Trace> trace)
-      : trace_(std::move(trace)) {}
-
-  /// Shard-filtered variant for sharded runs: this model executes only the
-  /// records tagged `shard`, skipping (and permanently passing over) the
-  /// rest. Every shard's model scans the shared stream with its own cursor;
-  /// all shards tick at the same cadence, so each record is executed by
-  /// exactly its owner exactly once.
-  ReplayChurnModel(std::shared_ptr<const Trace> trace, std::uint32_t shard)
-      : trace_(std::move(trace)), shard_(shard), filtered_(true) {}
+  explicit ReplayChurnModel(std::shared_ptr<const Trace> trace, std::uint32_t shard = 0)
+      : trace_(std::move(trace)), shard_(shard) {}
 
   double rate() const override { return 0.0; }
   [[nodiscard]] bool scripted() const override { return true; }
@@ -99,8 +93,7 @@ class ReplayChurnModel final : public churn::ChurnModel {
   void actions_at(sim::Time now, std::vector<churn::ChurnAction>& out) override {
     while (next_ < trace_->churn.size() && trace_->churn[next_].time <= now) {
       const ChurnRecord& r = trace_->churn[next_++];
-      if (filtered_ && r.shard != shard_) continue;
-      out.push_back({r.join, r.victim});
+      if (r.shard == shard_) out.push_back({r.join, r.victim});
     }
   }
 
@@ -108,7 +101,6 @@ class ReplayChurnModel final : public churn::ChurnModel {
   std::shared_ptr<const Trace> trace_;
   std::size_t next_ = 0;
   std::uint32_t shard_ = 0;
-  bool filtered_ = false;
 };
 
 /// Replays client target picks. A recorded pick that is no longer active
@@ -171,48 +163,33 @@ class TraceReplayer {
   explicit TraceReplayer(std::shared_ptr<const Trace> trace)
       : trace_(std::move(trace)), chooser_(trace_) {}
 
+  /// The direct replay model, for a one-world run.
   [[nodiscard]] std::unique_ptr<net::DelayModel> make_delay_model() {
-    auto model = std::make_unique<ReplayDelayModel>(trace_);
-    delay_model_ = model.get();
-    return model;
+    return std::make_unique<ReplayDelayModel>(trace_);
   }
 
   /// Sharded replay: a forwarding view over one replayer-owned shared
   /// cursor (see SharedDelayModelView). Call once per shard Network; the
   /// replayer must outlive them all.
   [[nodiscard]] std::unique_ptr<net::DelayModel> make_delay_model_view() {
-    if (!shared_delay_) {
-      shared_delay_ = std::make_unique<ReplayDelayModel>(trace_);
-      delay_model_ = shared_delay_.get();
-    }
+    if (!shared_delay_) shared_delay_ = std::make_unique<ReplayDelayModel>(trace_);
     return std::make_unique<SharedDelayModelView>(shared_delay_.get());
   }
 
-  /// ReplayChurnModel when the recording drove a churn loop, NoChurn
-  /// otherwise (then no tick events existed to reproduce).
-  [[nodiscard]] std::unique_ptr<churn::ChurnModel> make_churn_model() const {
-    if (trace_->churn_loop) return std::make_unique<ReplayChurnModel>(trace_);
-    return std::make_unique<churn::NoChurn>();
-  }
-
-  /// Shard-filtered churn model for shard `shard` of a sharded replay.
+  /// ReplayChurnModel for shard `shard` (0 when unsharded) when the
+  /// recording drove a churn loop, NoChurn otherwise (then no tick events
+  /// existed to reproduce).
   [[nodiscard]] std::unique_ptr<churn::ChurnModel> make_churn_model(
-      std::uint32_t shard) const {
+      std::uint32_t shard = 0) const {
     if (trace_->churn_loop) return std::make_unique<ReplayChurnModel>(trace_, shard);
     return std::make_unique<churn::NoChurn>();
   }
 
   [[nodiscard]] client::TargetChooser* target_chooser() { return &chooser_; }
 
-  /// The delay model built by make_delay_model / make_delay_model_view
-  /// (null before); valid while the owning Network (respectively this
-  /// replayer) lives. For post-run divergence diagnostics.
-  [[nodiscard]] const ReplayDelayModel* delay_model() const { return delay_model_; }
-
  private:
   std::shared_ptr<const Trace> trace_;
   ReplayTargetChooser chooser_;
-  ReplayDelayModel* delay_model_ = nullptr;  // non-owning
   std::unique_ptr<ReplayDelayModel> shared_delay_;  // sharded replay only
 };
 

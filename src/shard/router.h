@@ -5,28 +5,26 @@
 // picks stream like every target selection); writes funnel to the shard's
 // designated writer and serialize through its session FIFO, which is
 // exactly why aggregate write throughput scales with shard count.
-//
-// The router also owns the sharded harvest: per-shard ops/latency slices
-// (ShardMetrics), hot/cold-shard tail percentiles, hot-shard skew, and
-// aggregate throughput, merged with the global counters into one
-// MetricsReport.
 #pragma once
 
-#include "client/client.h"
-#include "harness/metrics.h"
-#include "shard/keyspace.h"
+#include <utility>
+#include <vector>
 
-namespace dynreg::harness {
-struct ExperimentConfig;
-}  // namespace dynreg::harness
+#include "client/client.h"
+#include "shard/keyspace.h"
 
 namespace dynreg::shard {
 
+/// Every shard's designated writer: process 0 of that shard's id space
+/// (each shard numbers its members from 0), pinned like the paper's writer.
+inline constexpr sim::ProcessId kShardWriter = 0;
+
 class ShardedClient {
  public:
-  /// `map` must be fully populated (every ShardRef wired) and outlive the
-  /// router.
-  explicit ShardedClient(ShardMap& map) : map_(map) {}
+  /// `shards[s]` is shard s's Client (non-owning; at least one, each
+  /// outliving the router).
+  explicit ShardedClient(std::vector<client::Client*> shards)
+      : shards_(std::move(shards)) {}
 
   ShardedClient(const ShardedClient&) = delete;
   ShardedClient& operator=(const ShardedClient&) = delete;
@@ -43,19 +41,10 @@ class ShardedClient {
   client::OpHandle write(Key key, client::OpOptions options = {},
                          client::OpHook done = {});
 
-  [[nodiscard]] ShardId owner_of(Key key) const { return map_.owner_of(key); }
-  [[nodiscard]] ShardMap& map() { return map_; }
-  [[nodiscard]] const ShardMap& map() const { return map_; }
-
-  /// Aggregates every shard's counters, latencies, join/chronicle
-  /// accounting, and consistency checks into `report` (global fields plus
-  /// the per-shard ShardMetrics slices). `cfg` supplies duration/delta/n
-  /// for the chronicle queries and throughput. trace_hash is the caller's.
-  void harvest(const harness::ExperimentConfig& cfg,
-               harness::MetricsReport& report) const;
+  [[nodiscard]] ShardId owner_of(Key key) const { return shard_of(key, shards_.size()); }
 
  private:
-  ShardMap& map_;
+  std::vector<client::Client*> shards_;
 };
 
 }  // namespace dynreg::shard

@@ -1,9 +1,11 @@
 // The shard layer: key->shard mapping stability, the sharded run pipeline's
 // determinism, per-shard metrics and consistency, write-throughput scaling
-// with shard count, and shard-aware record/replay through the v4 trace.
+// with shard count, shard-aware record/replay through the v4 trace, and the
+// configs a sharded run rejects.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -145,6 +147,31 @@ TEST(ShardedRun, RecordsAndReplaysByteIdentically) {
     EXPECT_EQ(replayed.shards[s].ops_completed, recorded.shards[s].ops_completed) << s;
     EXPECT_EQ(replayed.shards[s].latency_p99, recorded.shards[s].latency_p99) << s;
   }
+}
+
+TEST(ShardedRun, RejectsMoreShardsThanProcesses) {
+  // 16 shards over 15 processes would build a memberless shard whose
+  // vacuous "0 reads, completion 1.000" rows look like results.
+  harness::ExperimentConfig cfg = sharded_config();
+  cfg.n = 15;
+  cfg.shard_count = 16;
+  EXPECT_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}),
+               std::invalid_argument);
+  cfg.shard_count = 15;  // one member per shard is degenerate but honest
+  EXPECT_NO_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}));
+}
+
+TEST(ShardedRun, RejectsAFaultPlan) {
+  // The injector targets one membership group; a sharded run would drop the
+  // plan and report 0 crashes and 0 partitions on every row.
+  harness::ExperimentConfig cfg = sharded_config();
+  cfg.fault.crash.rate = 0.01;
+  cfg.fault.crash.recover_fraction = 1.0;
+  ASSERT_TRUE(cfg.fault.enabled());
+  EXPECT_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}),
+               std::invalid_argument);
+  cfg.shard_count = 0;  // the same plan on a single-register run is fine
+  EXPECT_NO_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}));
 }
 
 }  // namespace
