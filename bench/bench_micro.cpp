@@ -9,9 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 
 #include "consistency/regularity_checker.h"
 #include "harness/experiment.h"
+#include "net/delay_model.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
@@ -81,22 +83,43 @@ struct NoopPayload final : net::Payload {
   }
 };
 
-void BM_NetworkBroadcast(benchmark::State& state) {
+// Ten broadcasts from process 0 to n attached processes, stepped to the
+// end. items/s counts delivered copies; events_per_broadcast counts the
+// queued events each broadcast dispatched (one per arrival tick, so 1 under
+// FixedDelay(1) and at most delta under SynchronousDelay(delta)).
+template <typename MakeDelays>
+void run_broadcasts(benchmark::State& state, MakeDelays make_delays) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr int kBroadcasts = 10;
+  std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulation sim(1);
-    net::Network network(sim, std::make_unique<net::FixedDelay>(1));
+    net::Network network(sim, make_delays());
     for (std::size_t i = 0; i < n; ++i) {
       network.attach(i, [](sim::ProcessId, const net::Payload&) {});
     }
-    for (int b = 0; b < 10; ++b) network.broadcast(0, net::make_payload<NoopPayload>());
-    sim.run();
+    for (int b = 0; b < kBroadcasts; ++b) network.broadcast(0, net::make_payload<NoopPayload>());
+    while (sim.step()) ++events;
     benchmark::DoNotOptimize(network.stats().delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 10);
+                          static_cast<std::int64_t>(n) * kBroadcasts);
+  state.counters["events_per_broadcast"] =
+      static_cast<double>(events) /
+      static_cast<double>(static_cast<std::uint64_t>(state.iterations()) * kBroadcasts);
+}
+
+void BM_NetworkBroadcast(benchmark::State& state) {
+  run_broadcasts(state, [] { return std::make_unique<net::FixedDelay>(1); });
 }
 BENCHMARK(BM_NetworkBroadcast)->Arg(100)->Arg(1000)->Arg(10000);
+
+// The copies of one broadcast land on up to three ticks, as in the paper's
+// synchronous model, and every copy consumes one delay draw.
+void BM_NetworkBroadcastSyncDelay(benchmark::State& state) {
+  run_broadcasts(state, [] { return std::make_unique<net::SynchronousDelay>(3); });
+}
+BENCHMARK(BM_NetworkBroadcastSyncDelay)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_RegularityChecker(benchmark::State& state) {
   const auto reads = static_cast<std::size_t>(state.range(0));

@@ -28,6 +28,10 @@ import sys
 import time
 
 
+# User counters bench_micro reports next to the timings; recorded verbatim.
+COUNTERS = ("events_per_broadcast",)
+
+
 def run_google_benchmark(bench, min_time, repetitions):
     cmd = [
         bench,
@@ -57,6 +61,9 @@ def run_google_benchmark(bench, min_time, repetitions):
         }
         if "items_per_second" in b:
             entry["items_per_second"] = b["items_per_second"]
+        for counter in COUNTERS:
+            if counter in b:
+                entry[counter] = b[counter]
         results[name] = entry
     return results, raw.get("context", {})
 

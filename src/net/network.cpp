@@ -1,7 +1,11 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <utility>
 
 namespace dynreg::net {
@@ -35,8 +39,21 @@ void Network::detach(sim::ProcessId id) {
       std::lower_bound(attached_ids_.begin(), attached_ids_.end(), id));
 }
 
+namespace {
+
+// Frees a batch event's recipient span. The arena is held directly, not
+// reached through the Network, because the Simulation (arena and queue) may
+// outlive the Network and destroy a still-queued batch at teardown.
+struct ArenaFree {
+  sim::Arena* arena;
+  void operator()(sim::ProcessId* p) const noexcept { arena->deallocate(p); }
+};
+
+}  // namespace
+
 void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
-  transmit(from, to, std::move(payload));
+  const sim::Duration d = draw_fate(from, to, *payload);
+  if (d != 0) schedule_delivery(from, to, std::move(payload), d);
 }
 
 void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
@@ -53,9 +70,59 @@ void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
     disseminator_->disseminate(*this, from, recipients_scratch_, payload);
     return;
   }
+  survivors_.clear();
+  sim::Duration min_d = std::numeric_limits<sim::Duration>::max();
+  sim::Duration max_d = 0;
   for (const sim::ProcessId to : attached_ids_) {
     if (to == from) continue;
-    transmit(from, to, payload);
+    const sim::Duration d = draw_fate(from, to, *payload);
+    if (d == 0) continue;
+    min_d = std::min(min_d, d);
+    max_d = std::max(max_d, d);
+    survivors_.push_back({d, to});
+  }
+
+  // Group by arrival delay with a stable LSD radix sort on (delay - min_d),
+  // one byte per pass, so copies keep their id order within each group. A
+  // delay range under 256 ticks (every synchronous model) takes one O(n)
+  // pass and a fixed delay none. std::sort on (delay, id) gives the same
+  // order but made perfbench sync_join_churn 26% slower in wall_s (10
+  // rounds on one host; docs/PERFORMANCE.md).
+  const sim::Duration range = survivors_.empty() ? 0 : max_d - min_d;
+  for (unsigned shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
+    std::array<std::uint32_t, 257> starts{};
+    for (const Copy& c : survivors_) ++starts[(((c.delay - min_d) >> shift) & 0xff) + 1];
+    for (std::size_t k = 1; k < starts.size(); ++k) starts[k] += starts[k - 1];
+    sorted_.resize(survivors_.size());
+    for (const Copy& c : survivors_) sorted_[starts[((c.delay - min_d) >> shift) & 0xff]++] = c;
+    survivors_.swap(sorted_);
+  }
+
+  // Queue one event per arrival tick; a lone copy takes the point-to-point
+  // closure and needs no recipient span. Every batch owns its own span, so
+  // a handler that broadcasts from inside a batch never touches this one's.
+  const std::size_t n = survivors_.size();
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    while (j < n && survivors_[j].delay == survivors_[i].delay) ++j;
+    if (j - i == 1) {
+      schedule_delivery(from, survivors_[i].to, payload, survivors_[i].delay);
+    } else {
+      const auto count = static_cast<std::uint32_t>(j - i);
+      sim::Arena& arena = sim_.arena();
+      std::unique_ptr<sim::ProcessId[], ArenaFree> to(
+          static_cast<sim::ProcessId*>(
+              arena.allocate(count * sizeof(sim::ProcessId), alignof(sim::ProcessId))),
+          ArenaFree{&arena});
+      for (std::uint32_t k = 0; k < count; ++k) to[k] = survivors_[i + k].to;
+      auto deliver_batch = [this, from, count, payload, to = std::move(to)] {
+        for (std::uint32_t k = 0; k < count; ++k) deliver(from, to[k], payload);
+      };
+      static_assert(sizeof(deliver_batch) <= sim::InlineTask::kInlineCapacity,
+                    "batch delivery event must stay inline — see sim/inline_task.h");
+      sim_.schedule_after(survivors_[i].delay, std::move(deliver_batch));
+    }
+    i = j;
   }
 }
 
@@ -63,74 +130,69 @@ Network::Hop Network::transmit_hop(sim::ProcessId logical_from,
                                    sim::ProcessId hop_from, sim::ProcessId to,
                                    const PayloadPtr& payload,
                                    sim::Duration base_delay) {
-  // Partition cuts act on the physical edge and are checked BEFORE the delay
-  // model: a cut copy consumes no Rng draw, so the recorded net stream stays
-  // positionally aligned between faulted record and replay runs.
-  if (fault_hook_ != nullptr && fault_hook_->link_cut(sim_.now(), hop_from, to)) {
-    ++stats_.dropped_partition;
-    return {true, 0};
-  }
-  ++stats_.sent;
-  const DelayModel::Verdict verdict = delays_->verdict(
-      sim_.now(), hop_from, to, *payload, loss_rate_, sim_.rng());
-  if (verdict.lost) {
-    ++stats_.dropped_loss;
-    return {true, 0};
-  }
-  const sim::Duration d = verdict.delay < 1 ? 1 : verdict.delay;
+  // Partition cuts act on the physical edge (hop_from -> to).
+  const sim::Duration d = draw_fate(hop_from, to, *payload);
+  if (d == 0) return {true, 0};
   schedule_delivery(logical_from, to, payload, base_delay + d);
   return {false, base_delay + d};
 }
 
-void Network::transmit(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
+sim::Duration Network::draw_fate(sim::ProcessId from, sim::ProcessId to,
+                                 const Payload& payload) {
+  // Partition cuts are checked BEFORE the delay model: a cut copy consumes
+  // no Rng draw, so the recorded net stream stays positionally aligned
+  // between faulted record and replay runs.
   if (fault_hook_ != nullptr && fault_hook_->link_cut(sim_.now(), from, to)) {
-    ++stats_.dropped_partition;  // cut before the verdict — see transmit_hop
-    return;
+    ++stats_.dropped_partition;
+    return 0;
   }
   ++stats_.sent;
   const DelayModel::Verdict verdict =
-      delays_->verdict(sim_.now(), from, to, *payload, loss_rate_, sim_.rng());
+      delays_->verdict(sim_.now(), from, to, payload, loss_rate_, sim_.rng());
   if (verdict.lost) {
     ++stats_.dropped_loss;
-    return;
+    return 0;
   }
-  const sim::Duration d = verdict.delay < 1 ? 1 : verdict.delay;
-  schedule_delivery(from, to, std::move(payload), d);
+  return verdict.delay < 1 ? 1 : verdict.delay;
 }
 
 void Network::schedule_delivery(sim::ProcessId from, sim::ProcessId to,
                                 PayloadPtr payload, sim::Duration delay) {
-  auto deliver = [this, from, to, payload = std::move(payload)] {
-    if (to >= slots_.size() || !slots_[to].attached) {
-      ++stats_.dropped_departed;  // receiver departed while the copy was in flight
-      return;
-    }
-    ++stats_.delivered;
-    // Byzantine transforms rewrite the copy at delivery time; the hook is
-    // reached through the captured `this`, so the closure stays inline.
-    const Payload* observed = payload.get();
-    PayloadPtr replacement;
-    if (fault_hook_ != nullptr) {
-      replacement = fault_hook_->transform(sim_.now(), from, to, payload);
-      if (replacement != nullptr) {
-        observed = replacement.get();
-        ++stats_.transformed;
-      }
-    }
-    const PayloadTypeId type = observed->type_id();
-    if (type >= delivered_by_type_id_.size()) delivered_by_type_id_.resize(type + 1, 0);
-    ++delivered_by_type_id_[type];
-    // Audit builds fold each delivery's shape into the event-stream hash
-    // (no-op otherwise) — a reordered or re-addressed message diverges the
-    // digest even when the counters happen to agree.
-    sim_.audit_note((std::uint64_t{from} << 40) | (std::uint64_t{to} << 16) | type);
-    slots_[to].handler(from, *observed);
+  auto deliver_one = [this, from, to, payload = std::move(payload)] {
+    deliver(from, to, payload);
   };
-  // The per-copy delivery closure is THE allocation-rate driver of a run;
-  // it must never outgrow the scheduler's inline capture budget.
-  static_assert(sizeof(deliver) <= sim::InlineTask::kInlineCapacity,
+  // Every point-to-point copy (each protocol reply) is one of these events;
+  // the closure must never outgrow the scheduler's inline capture budget.
+  static_assert(sizeof(deliver_one) <= sim::InlineTask::kInlineCapacity,
                 "delivery closure must stay inline — see sim/inline_task.h");
-  sim_.schedule_after(delay, std::move(deliver));
+  sim_.schedule_after(delay, std::move(deliver_one));
+}
+
+void Network::deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload) {
+  if (to >= slots_.size() || !slots_[to].attached) {
+    ++stats_.dropped_departed;  // receiver departed while the copy was in flight
+    return;
+  }
+  ++stats_.delivered;
+  // Byzantine transforms rewrite the copy at delivery time; the hook is
+  // reached through `this`, so the delivery events stay inline.
+  const Payload* observed = payload.get();
+  PayloadPtr replacement;
+  if (fault_hook_ != nullptr) {
+    replacement = fault_hook_->transform(sim_.now(), from, to, payload);
+    if (replacement != nullptr) {
+      observed = replacement.get();
+      ++stats_.transformed;
+    }
+  }
+  const PayloadTypeId type = observed->type_id();
+  if (type >= delivered_by_type_id_.size()) delivered_by_type_id_.resize(type + 1, 0);
+  ++delivered_by_type_id_[type];
+  // Audit builds fold each delivery's shape into the event-stream hash
+  // (no-op otherwise) — a reordered or re-addressed message diverges the
+  // digest even when the counters happen to agree.
+  sim_.audit_note((std::uint64_t{from} << 40) | (std::uint64_t{to} << 16) | type);
+  slots_[to].handler(from, *observed);
 }
 
 std::map<std::string, std::uint64_t> Network::delivered_by_type() const {

@@ -11,9 +11,15 @@
 // Dispatch is O(1): processes live in a dense vector indexed by ProcessId
 // (ids are assigned densely by the churn system), with an attached flag and
 // a generation counter per slot instead of a tree-backed map. Broadcast
-// fan-out walks the vector in id order — the same deterministic order the
-// previous std::map gave. Per-delivery metrics are keyed on interned
-// PayloadTypeId tags; the string-keyed view is materialized only on demand.
+// fan-out walks the live ids in ascending order and draws every copy's fate
+// (partition cut, loss, delay) in that order. The surviving copies are then
+// queued as ONE event per arrival tick, which delivers to its recipients in
+// id order. Nothing else is pushed during the fan-out, so the copies of one
+// broadcast that land on one tick would have held adjacent FIFO slots
+// anyway: the batch reproduces per-copy delivery exactly, with the
+// drop-on-departure check still made per recipient at delivery time.
+// Per-delivery metrics are keyed on interned PayloadTypeId tags; the
+// string-keyed view is materialized only on demand.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +68,8 @@ class Network {
 
   void send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload);
 
-  /// Sends one copy to every currently attached process except `from`.
+  /// Sends one copy to every currently attached process except `from`; the
+  /// direct fan-out queues one event per arrival tick (see file comment).
   void broadcast(sim::ProcessId from, PayloadPtr payload);
 
   /// Installs tree fan-out for broadcast(). nullptr (the default) keeps the
@@ -118,15 +125,34 @@ class Network {
     bool attached = false;
   };
 
-  void transmit(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload);
+  /// One copy's fate at send time, shared by every send path: a partition
+  /// cut (checked first, so it consumes no Rng draw), then `++sent` and the
+  /// delay model's verdict (loss, then delay). Returns the arrival delay
+  /// (>= 1), or 0 when the copy was cut or lost.
+  sim::Duration draw_fate(sim::ProcessId from, sim::ProcessId to,
+                          const Payload& payload);
+  /// Queues one copy as its own event.
   void schedule_delivery(sim::ProcessId from, sim::ProcessId to,
                          PayloadPtr payload, sim::Duration delay);
+  /// One copy's delivery body, run by single-copy and batch events alike:
+  /// departure check, fault transform, per-type counter, audit note, handler.
+  void deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload);
 
   sim::Simulation& sim_;
   std::unique_ptr<DelayModel> delays_;
   std::unique_ptr<TreeDisseminator> disseminator_;  // nullptr = direct fan-out
   FaultHook* fault_hook_ = nullptr;             // nullptr = fault-free
   std::vector<sim::ProcessId> recipients_scratch_;
+  // Broadcast scratch: surviving copies, and the radix sort's other buffer
+  // for grouping them by arrival delay. Only read inside broadcast(), which
+  // runs no handler, so a nested broadcast cannot observe them; each batch
+  // event owns its own recipient span in the arena.
+  struct Copy {
+    sim::Duration delay;
+    sim::ProcessId to;
+  };
+  std::vector<Copy> survivors_;
+  std::vector<Copy> sorted_;
   std::vector<Slot> slots_;  // dense, indexed by ProcessId
   // Sorted live membership: broadcast fan-out walks this, so its cost
   // follows the active set, not the cumulative id space of a churning run.

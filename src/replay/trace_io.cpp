@@ -186,11 +186,14 @@ void encode_trace(const Trace& t, std::vector<std::uint8_t>& out) {
   }
 }
 
-Trace decode_trace(Reader& r) {
+Trace decode_trace(Reader& r, std::uint32_t version) {
   Trace t;
   t.fingerprint = r.varint();
   t.seed = r.varint();
   t.recorded_hash = r.u64();
+  // Before v5 a broadcast copy was its own event, so the recorded hash
+  // cannot match a replay by this build; 0 tells replay to skip the check.
+  if (version < 5) t.recorded_hash = 0;
   t.churn_loop = r.u8() != 0;
 
   // Counts are not trusted for allocation: each record consumes bytes, so a
@@ -432,9 +435,10 @@ TraceFile decode(const std::vector<std::uint8_t>& bytes) {
     }() + ", expected DRTR)");
   }
   const std::uint32_t version = header.u32();
-  if (version != kTraceVersion) {
+  if (version < kOldestTraceVersion || version > kTraceVersion) {
     throw TraceError("unsupported trace format version " + std::to_string(version) +
-                     " (this build reads version " + std::to_string(kTraceVersion) + ")");
+                     " (this build reads versions " + std::to_string(kOldestTraceVersion) +
+                     " to " + std::to_string(kTraceVersion) + ")");
   }
   if (bytes.size() < 16) throw TraceError("truncated: no room for checksum");
   Reader tail(bytes, bytes.size() - 8);
@@ -460,7 +464,7 @@ TraceFile decode(const std::vector<std::uint8_t>& bytes) {
   if (trace_count > header.remaining()) header.fail("trace count exceeds file size");
   file.traces.reserve(static_cast<std::size_t>(trace_count));
   for (std::uint64_t i = 0; i < trace_count; ++i) {
-    file.traces.push_back(decode_trace(header));
+    file.traces.push_back(decode_trace(header, version));
   }
   return file;
 }

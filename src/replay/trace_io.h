@@ -5,7 +5,7 @@
 // File format (all integers little-endian; "varint" is LEB128):
 //
 //   u32  magic    0x52545244 ("DRTR")
-//   u32  version  1
+//   u32  version  (kOldestTraceVersion..kTraceVersion)
 //   varint experiment-name length + bytes   (registry id, may be empty)
 //   varint seed count + varint seeds        (the run set recorded)
 //   u8   has-config; if 1: canonical ExperimentConfig encoding (the single
@@ -44,10 +44,16 @@ inline constexpr std::uint32_t kTraceMagic = 0x52545244u;  // "DRTR"
 // config. Version 4 tags every churn record with its owning shard and
 // appends the shard layer (shard_count) and keyed-workload fields
 // (key_count, zipf_s, read_frac, storm_every, storm_len) to the embedded
-// config, so sharded runs record/replay/search like everything else. Older
-// files are rejected (no binary traces are kept as fixtures; recordings are
-// artifacts of the session that made them).
-inline constexpr std::uint32_t kTraceVersion = 4u;
+// config, so sharded runs record/replay/search like everything else.
+// Version 5 keeps v4's layout byte for byte; it marks recorded audit hashes
+// taken with batched broadcast delivery (one event per broadcast and arrival
+// tick), which dispatches fewer events — and so folds a different hash —
+// for the same deliveries. v4 files still decode, with every recorded_hash
+// zeroed, so replay skips only the hash comparison for them. Files older
+// than v4 are rejected (no binary traces are kept as fixtures; recordings
+// are artifacts of the session that made them).
+inline constexpr std::uint32_t kTraceVersion = 5u;
+inline constexpr std::uint32_t kOldestTraceVersion = 4u;
 
 /// Malformed trace bytes (truncation, bad magic, version from the future,
 /// corrupted body). The message names the offending offset or field.

@@ -1,12 +1,25 @@
-// net::Network — delivery, broadcast membership semantics, and the
-// drop-on-departure rule churn depends on.
+// net::Network — delivery, broadcast membership semantics, the
+// drop-on-departure rule churn depends on, and the batched broadcast
+// delivery (one queued event per arrival tick) reproducing per-copy
+// delivery exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "churn/churn_model.h"
+#include "churn/system.h"
+#include "dynreg/sync_register.h"
 #include "net/delay_model.h"
+#include "net/fault_hook.h"
 #include "net/network.h"
 #include "sim/simulation.h"
 
@@ -15,6 +28,32 @@ namespace {
 
 struct Ping final : Payload {
   std::string_view type_name() const override { return "test.ping"; }
+};
+
+struct Pong final : Payload {
+  std::string_view type_name() const override { return "test.pong"; }
+};
+
+/// Cuts every copy towards `cut_to` and rewrites every copy towards an id in
+/// `forge_to` into a Pong.
+class ScriptedHook final : public FaultHook {
+ public:
+  ScriptedHook(sim::ProcessId cut_to, std::vector<sim::ProcessId> forge_to)
+      : cut_to_(cut_to), forge_to_(std::move(forge_to)) {}
+  bool link_cut(sim::Time, sim::ProcessId, sim::ProcessId to) override {
+    return to == cut_to_;
+  }
+  PayloadPtr transform(sim::Time, sim::ProcessId, sim::ProcessId to,
+                       const PayloadPtr&) override {
+    for (const sim::ProcessId f : forge_to_) {
+      if (f == to) return make_payload<Pong>();
+    }
+    return nullptr;
+  }
+
+ private:
+  sim::ProcessId cut_to_;
+  std::vector<sim::ProcessId> forge_to_;
 };
 
 TEST(Network, DeliversWithModelDelayAndRecordsType) {
@@ -131,6 +170,210 @@ TEST(Network, LossRateDropsMessages) {
 
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(net.stats().dropped_loss, 10u);
+}
+
+TEST(NetworkBatch, SameTickEventsInterleaveAsPerCopyDelivery) {
+  // Per-copy delivery queued each copy at its arrival tick in the order the
+  // fan-out pushed it; a batch must slot in exactly there: after what was
+  // queued for that tick before the broadcast, before what was queued
+  // after it — including events the copies' own handlers push for `now`.
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(2));
+  std::vector<std::string> log;
+  for (sim::ProcessId id = 0; id < 4; ++id) {
+    net.attach(id, [&, id](sim::ProcessId, const Payload&) {
+      log.push_back("copy" + std::to_string(id));
+      if (id == 1) sim.schedule_after(0, [&log] { log.push_back("nested"); });
+    });
+  }
+  sim.schedule_at(2, [&log] { log.push_back("before"); });
+  net.broadcast(0, make_payload<Ping>());
+  sim.schedule_at(2, [&log] { log.push_back("after"); });
+  net.send(3, 1, make_payload<Ping>());  // a later point-to-point copy
+  sim.run();
+
+  EXPECT_EQ(log, (std::vector<std::string>{"before", "copy1", "copy2", "copy3",
+                                           "after", "copy1", "nested", "nested"}));
+}
+
+TEST(NetworkBatch, RandomDelaysDeliverEachCopyAtItsDrawnTickInIdOrder) {
+  // The verdicts are drawn per copy in ascending id order, exactly as the
+  // per-copy fan-out drew them: a twin Rng replaying those draws predicts
+  // every arrival tick, and within a tick the copies run in id order.
+  constexpr sim::Duration kDelta = 3;
+  constexpr sim::ProcessId kN = 40;
+  sim::Simulation sim(11);
+  Network net(sim, std::make_unique<SynchronousDelay>(kDelta));
+  std::vector<std::pair<sim::Time, sim::ProcessId>> got;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&, id](sim::ProcessId, const Payload&) { got.emplace_back(sim.now(), id); });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  sim.run();
+
+  sim::Rng twin(11);
+  std::vector<std::pair<sim::Time, sim::ProcessId>> want;
+  for (sim::ProcessId id = 1; id < kN; ++id) want.emplace_back(twin.uniform_int(1, kDelta), id);
+  std::stable_sort(want.begin(), want.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(got, want);
+}
+
+TEST(NetworkBatch, InterleavedDelaysGroupByTickInIdOrder) {
+  // Arrival ticks that alternate along the id order, far apart: each tick
+  // gets one event, and each event delivers in id order.
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<AsyncAdversarialDelay>(
+                       1, [](sim::Time, sim::ProcessId, sim::ProcessId to, const Payload&) {
+                         return std::optional<sim::Duration>(to % 2 == 0 ? 1000 : 7);
+                       }));
+  std::vector<std::pair<sim::Time, sim::ProcessId>> got;
+  for (sim::ProcessId id = 0; id < 7; ++id) {
+    net.attach(id, [&, id](sim::ProcessId, const Payload&) { got.emplace_back(sim.now(), id); });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  int events = 0;
+  while (sim.step()) ++events;
+
+  EXPECT_EQ(events, 2);
+  EXPECT_EQ(got, (std::vector<std::pair<sim::Time, sim::ProcessId>>{
+                     {7, 1}, {7, 3}, {7, 5}, {1000, 2}, {1000, 4}, {1000, 6}}));
+}
+
+TEST(NetworkBatch, DetachInsideBatchDropsTheLaterCopyAsDeparted) {
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(1));
+  std::vector<sim::ProcessId> reached;
+  for (sim::ProcessId id = 0; id < 4; ++id) {
+    net.attach(id, [&, id](sim::ProcessId, const Payload&) {
+      reached.push_back(id);
+      if (id == 1) net.detach(3);  // a later recipient of the same batch
+    });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  sim.run();
+
+  EXPECT_EQ(reached, (std::vector<sim::ProcessId>{1, 2}));
+  EXPECT_EQ(net.stats().delivered, 2u);
+  EXPECT_EQ(net.stats().dropped_departed, 1u);
+}
+
+TEST(NetworkBatch, CutConsumesNoDrawAndTransformAppliesPerCopy) {
+  // Run A cuts every copy towards 2; run B never attaches 2. A cut copy
+  // draws nothing, so both runs see the same verdict stream: same arrival
+  // ticks for everyone else, same Rng state afterwards.
+  using Arrival = std::tuple<sim::Time, sim::ProcessId, std::string_view>;
+  const auto run = [](bool cut) {
+    sim::Simulation sim(5);
+    Network net(sim, std::make_unique<SynchronousDelay>(2));
+    ScriptedHook hook(2, {3, 5});
+    net.set_fault_hook(&hook);
+    std::vector<Arrival> got;
+    for (sim::ProcessId id = 0; id < 8; ++id) {
+      if (id == 2 && !cut) continue;
+      net.attach(id, [&, id](sim::ProcessId, const Payload& p) {
+        got.emplace_back(sim.now(), id, p.type_name());
+      });
+    }
+    net.broadcast(0, make_payload<Ping>());
+    sim.run();
+    return std::make_tuple(got, net.stats(), sim.rng().next());
+  };
+  const auto [cut_log, cut_stats, cut_rng] = run(true);
+  const auto [ref_log, ref_stats, ref_rng] = run(false);
+
+  EXPECT_EQ(cut_log, ref_log);
+  EXPECT_EQ(cut_rng, ref_rng);
+  EXPECT_EQ(cut_stats.dropped_partition, 1u);
+  EXPECT_EQ(cut_stats.sent, 6u);
+  EXPECT_EQ(cut_stats.delivered, 6u);
+  EXPECT_EQ(cut_stats.transformed, 2u);
+  ASSERT_EQ(cut_log.size(), 6u);
+  for (const auto& [time, id, type] : cut_log) {
+    EXPECT_EQ(type, id == 3 || id == 5 ? "test.pong" : "test.ping") << "p" << id << " at " << time;
+    // Each forged copy shares its tick with an untouched one: one batch.
+    const auto same_tick = std::count_if(cut_log.begin(), cut_log.end(), [&](const Arrival& a) {
+      return std::get<0>(a) == time;
+    });
+    EXPECT_GE(same_tick, 2) << "p" << id << " arrived alone at " << time;
+  }
+}
+
+TEST(NetworkBatch, BroadcastFromInsideABatchKeepsBothRecipientSets) {
+  // Every recipient of the first broadcast rebroadcasts once; the nested
+  // broadcasts queue their own batches while the outer one is mid-loop.
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(1));
+  constexpr sim::ProcessId kN = 6;
+  std::map<sim::ProcessId, int> pings;
+  std::map<sim::ProcessId, int> pongs;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&, id](sim::ProcessId, const Payload& p) {
+      if (p.type_name() == "test.ping") {
+        ++pings[id];
+        net.broadcast(id, make_payload<Pong>());
+      } else {
+        ++pongs[id];
+      }
+    });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  sim.run();
+
+  for (sim::ProcessId id = 1; id < kN; ++id) {
+    EXPECT_EQ(pings[id], 1) << id;
+    EXPECT_EQ(pongs[id], static_cast<int>(kN) - 2) << id;  // every other relay
+  }
+  EXPECT_EQ(pongs[0], static_cast<int>(kN) - 1);
+  EXPECT_EQ(net.stats().delivered, (kN - 1) + (kN - 1) * (kN - 1));
+}
+
+TEST(NetworkBatch, FixedDelayBroadcastToAThousandIsOneEvent) {
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(1));
+  constexpr sim::ProcessId kN = 1000;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [](sim::ProcessId, const Payload&) {});
+  }
+  net.broadcast(0, make_payload<Ping>());
+  int events = 0;
+  while (sim.step()) ++events;
+
+  EXPECT_EQ(events, 1);
+  EXPECT_EQ(net.stats().delivered, kN - 1);
+  EXPECT_EQ(sim.arena().live_allocations(), 0u);  // the recipient span is freed
+}
+
+// Regression gate on the delivery path's event cost, a ratio that does not
+// depend on the machine: a small fixed sync join-churn world (the paper's
+// broadcast-INQUIRY / point-to-point-REPLY join, at 0.9x Theorem 1's churn
+// bound) dispatches ~1.36 events per delivered copy with one event per
+// copy, and well under one with same-tick broadcast copies batched.
+TEST(NetworkBatch, SyncJoinChurnDispatchesUnderPointSevenEventsPerDelivery) {
+  constexpr sim::Duration kDelta = 3;
+  sim::Simulation sim(7);
+  Network net(sim, std::make_unique<SynchronousDelay>(kDelta));
+  churn::SystemConfig cfg;
+  cfg.initial_size = 200;
+  SyncConfig sync;
+  sync.delta = kDelta;
+  churn::System system(
+      sim, net, cfg, std::make_unique<churn::ConstantChurn>(0.9 / (3.0 * kDelta)),
+      [sync](sim::ProcessId id, node::Context& ctx, bool initial) {
+        return std::make_unique<SyncRegisterNode>(id, ctx, sync, initial);
+      });
+  system.bootstrap();
+  std::uint64_t events = 0;
+  for (auto t = sim.next_event_time(); t && *t <= 40; t = sim.next_event_time()) {
+    sim.step();
+    ++events;
+  }
+
+  const std::uint64_t delivered = net.stats().delivered;
+  ASSERT_GT(system.joins_started(), 500u);
+  ASSERT_GT(delivered, 100000u);
+  const double per_delivery = static_cast<double>(events) / static_cast<double>(delivered);
+  EXPECT_LT(per_delivery, 0.7) << events << " events for " << delivered << " deliveries";
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Trace file format: encode/decode round-trips bit-exactly, and the decoder
 // rejects every malformed input — truncations at all prefix lengths, a bad
-// magic, a version from the future, and seeded single-bit corruptions — with
-// a clean TraceError, never UB (the asan preset runs this file too).
+// magic, a version from the future or before v4, and seeded single-bit
+// corruptions — with a clean TraceError, never UB (the asan preset runs this
+// file too). A v4 file decodes with its recorded audit hashes zeroed.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -241,6 +242,40 @@ TEST(TraceFormat, LyingRecordCountsCannotBalloonAllocation) {
   const std::uint64_t sum = file_checksum(bytes);
   for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
   EXPECT_THROW(decode(bytes), TraceError);
+}
+
+/// `file` encoded, then relabelled as format `version` under a valid checksum.
+std::vector<std::uint8_t> encode_as_version(const TraceFile& file, std::uint32_t version) {
+  auto bytes = encode(file);
+  bytes.resize(bytes.size() - 8);  // drop the checksum
+  for (int i = 0; i < 4; ++i) bytes[4 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+  const std::uint64_t sum = file_checksum(bytes);
+  for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+  return bytes;
+}
+
+TEST(TraceFormat, V4FileDecodesWithRecordedHashZeroed) {
+  // v4 recordings hashed one event per broadcast copy; this build's replay
+  // cannot match that hash, so the decoder drops it and replay falls back
+  // to the emitter-output check. Everything else decodes as written.
+  const TraceFile f = sample_file();
+  ASSERT_NE(f.traces[0].recorded_hash, 0u);
+  const TraceFile d = decode(encode_as_version(f, 4));
+  ASSERT_EQ(d.traces.size(), f.traces.size());
+  for (const Trace& t : d.traces) EXPECT_EQ(t.recorded_hash, 0u);
+  EXPECT_EQ(d.traces[0].fingerprint, f.traces[0].fingerprint);
+  EXPECT_EQ(d.traces[0].net.size(), f.traces[0].net.size());
+  EXPECT_EQ(d.traces[0].churn.size(), f.traces[0].churn.size());
+  EXPECT_EQ(decode(encode(f)).traces[0].recorded_hash, f.traces[0].recorded_hash);
+}
+
+TEST(TraceFormat, VersionBeforeV4IsDiagnosed) {
+  try {
+    decode(encode_as_version(sample_file(), kOldestTraceVersion - 1));
+    FAIL() << "decode accepted a v3 file";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+  }
 }
 
 TEST(TraceFormat, FileIoRoundTripsAndMissingFileThrows) {

@@ -18,7 +18,9 @@ TEST(Zipfian, ProbabilitiesFormADistribution) {
   double total = 0.0;
   for (std::size_t r = 0; r < p.keys(); ++r) {
     EXPECT_GT(p.probability(r), 0.0) << r;
-    if (r > 0) EXPECT_LT(p.probability(r), p.probability(r - 1)) << r;
+    if (r > 0) {
+      EXPECT_LT(p.probability(r), p.probability(r - 1)) << r;
+    }
     total += p.probability(r);
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
