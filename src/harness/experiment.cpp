@@ -22,6 +22,7 @@
 #include "harness/builders.h"
 #include "harness/workload.h"
 #include "net/delay_model.h"
+#include "net/disseminator.h"
 #include "net/network.h"
 #include "replay/hooks.h"
 #include "replay/recorder.h"
@@ -66,17 +67,9 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
       // deeper quorum was still forming (the E15 message-count gap —
       // docs/PERFORMANCE.md). Flat keeps the historical value byte-for-byte
       // (depth 1 => (1+1)*delta == 2*delta).
-      std::size_t depth = 1;
-      if (cfg.dissemination == Dissemination::kTree && n > 1) {
-        const std::size_t fanout = std::max<std::size_t>(1, cfg.tree_fanout);
-        std::size_t reach = 1;  // processes within `depth` hops of the root
-        std::size_t level = 1;
-        while (reach < n) {
-          level = fanout == 1 ? 1 : level * fanout;
-          reach += level;
-          if (reach < n) ++depth;
-        }
-      }
+      const std::size_t depth = cfg.dissemination == Dissemination::kTree
+                                    ? net::TreeDisseminator(cfg.tree_fanout).depth(n)
+                                    : 1;
       ec.retransmit_interval =
           std::max<sim::Duration>(1, static_cast<sim::Duration>(depth + 1) * cfg.delta);
       ec.atomic_reads = cfg.es_atomic_reads;
@@ -170,16 +163,9 @@ World build_world(sim::Simulation& sim, const ExperimentConfig& cfg,
   w.n = cfg.n / count + (shard < cfg.n % count ? 1 : 0);
 
   // Recording interleaves every world's verdicts into the one net stream, so
-  // a multi-world replay reads them back through one shared cursor; a
-  // one-world replay owns its model directly.
-  std::unique_ptr<net::DelayModel> delays;
-  if (replayer == nullptr) {
-    delays = build_delays(cfg);
-  } else if (count == 1) {
-    delays = replayer->make_delay_model();
-  } else {
-    delays = replayer->make_delay_model_view();
-  }
+  // replay hands every world a model on the replayer's one cursor.
+  std::unique_ptr<net::DelayModel> delays =
+      replayer != nullptr ? replayer->make_delay_model() : build_delays(cfg);
   if (hooks.record != nullptr) {
     delays = std::make_unique<replay::RecordingDelayModel>(std::move(delays),
                                                            *hooks.record);

@@ -4,56 +4,43 @@
 // sending n-1 direct copies, so at n=1e5 a single hot writer pays O(n) sends
 // per operation. By default Network::broadcast is that direct fan-out: the
 // sender transmits one copy to every recipient. A TreeDisseminator installed
-// on the Network replaces it with deterministic delegated multicast over an
+// on the Network turns it into deterministic delegated multicast over an
 // implicit complete k-ary tree. The sender pushes to its k children; each
 // recipient forwards to its own children. Latency accumulates along the
 // path (depth ~ log_k n hops instead of 1), which is the honest price of
 // reducing the root's send cost from O(n) to O(k).
 //
-// Determinism contract: the tree is a pure function of (sorted recipient
-// list, fanout) — position 0 is the sender, position j >= 1 is
-// recipients[j-1], the parent of position j is (j-1)/k. Per-edge verdicts
-// are drawn in ascending position order through the one DelayModel override
-// point, so record/replay and the audit hash see a stable draw sequence.
-//
-// Modeling idealizations (documented, deliberate):
-//  - Delivery handlers observe the LOGICAL sender (the original
-//    broadcaster), not the relaying parent: protocols reply to whoever
-//    initiated the operation, and relays are transparent transport.
-//  - A lost or dropped edge loses only that recipient's copy; its subtree
-//    still forwards (as if the relay layer repaired the hop) with a nominal
-//    1-tick hop cost. Loss therefore stays a per-copy Bernoulli event, as
-//    in the flat model, rather than compounding down subtrees.
+// This class is only the tree's shape: position 0 is the sender, position
+// j >= 1 is the j-th recipient in ascending id order, and the parent of
+// position j is (j-1)/k. Network::broadcast walks the positions in that
+// order in its one fan-out loop (direct fan-out is the tree in which every
+// parent is the sender), so record/replay and the audit hash see a stable
+// draw sequence. The modeling idealizations (logical sender, per-copy loss)
+// are documented at that loop.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "net/payload.h"
-#include "sim/event_queue.h"  // ProcessId / Duration
+#include <cstddef>
 
 namespace dynreg::net {
 
-class Network;
-
-/// Delegated multicast over an implicit complete k-ary tree in recipient-id
-/// order (BFS positions; see file comment for the determinism contract).
+/// The shape of an implicit complete k-ary tree over BFS positions.
 class TreeDisseminator {
  public:
-  explicit TreeDisseminator(std::uint32_t fanout = 4)
-      : fanout_(fanout < 1 ? 1 : fanout) {}
+  explicit TreeDisseminator(std::size_t fanout = 4) : fanout_(fanout < 1 ? 1 : fanout) {}
 
-  /// Schedules one copy of `payload` from `from` towards every id in
-  /// `recipients` (sorted ascending, never containing `from`). Runs at send
-  /// time and only schedules future deliveries through
-  /// Network::transmit_hop — it never delivers synchronously.
-  void disseminate(Network& net, sim::ProcessId from,
-                   const std::vector<sim::ProcessId>& recipients,
-                   const PayloadPtr& payload);
+  /// Parent of BFS position `j` >= 1.
+  [[nodiscard]] std::size_t parent(std::size_t j) const { return (j - 1) / fanout_; }
+
+  /// Hops from the sender to the deepest recipient of a broadcast among `n`
+  /// processes (BFS position n-1); 1, like a direct fan-out, when n < 2.
+  [[nodiscard]] std::size_t depth(std::size_t n) const {
+    std::size_t hops = 0;
+    for (std::size_t j = n < 2 ? 1 : n - 1; j > 0; j = parent(j)) ++hops;
+    return hops;
+  }
 
  private:
-  std::uint32_t fanout_;
-  std::vector<sim::Duration> arrivals_;  // scratch, reused across broadcasts
+  std::size_t fanout_;
 };
 
 }  // namespace dynreg::net

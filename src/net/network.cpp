@@ -57,29 +57,41 @@ void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
 }
 
 void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
-  // A broadcast addresses the membership at send time. Dissemination only
+  // A broadcast addresses the membership at send time. The fan-out only
   // schedules future deliveries (it never runs handlers synchronously), so
   // the membership cannot change under this walk and no recipient snapshot
   // is needed. Ascending id order matches the previous ordered-map fan-out,
   // which keeps the RNG draw sequence — and thus every run — bit-identical.
-  if (disseminator_ != nullptr) {
-    recipients_scratch_.clear();
-    for (const sim::ProcessId to : attached_ids_) {
-      if (to != from) recipients_scratch_.push_back(to);
-    }
-    disseminator_->disseminate(*this, from, recipients_scratch_, payload);
-    return;
-  }
+  //
+  // Each copy's hop starts from its parent and leaves at the parent's
+  // arrival: with a tree installed, BFS position j (the j-th recipient)
+  // hangs under position tree->parent(j), position 0 being the sender;
+  // direct fan-out is the tree whose every parent is the sender. Parents
+  // precede their children, so a parent's arrival is final before its
+  // out-edges draw. The tree's modeling idealizations (deliberate):
+  //  - the cut is checked on the physical edge parent -> to, but handlers
+  //    observe the LOGICAL sender: protocols reply to whoever initiated the
+  //    operation, and relays are transparent transport;
+  //  - a lost or cut edge loses only that recipient's copy; its subtree
+  //    still forwards (as if the relay layer repaired the hop) from the
+  //    parent's arrival + 1, so loss stays a per-copy Bernoulli event as in
+  //    the direct model rather than compounding down subtrees.
+  const TreeDisseminator* tree = disseminator_.get();
+  if (tree != nullptr) positions_.assign(1, {0, from});
   survivors_.clear();
   sim::Duration min_d = std::numeric_limits<sim::Duration>::max();
   sim::Duration max_d = 0;
   for (const sim::ProcessId to : attached_ids_) {
     if (to == from) continue;
-    const sim::Duration d = draw_fate(from, to, *payload);
+    Copy parent{0, from};
+    if (tree != nullptr) parent = positions_[tree->parent(positions_.size())];
+    const sim::Duration d = draw_fate(parent.to, to, *payload);
+    if (tree != nullptr) positions_.push_back({parent.delay + (d == 0 ? 1 : d), to});
     if (d == 0) continue;
-    min_d = std::min(min_d, d);
-    max_d = std::max(max_d, d);
-    survivors_.push_back({d, to});
+    const sim::Duration arrival = parent.delay + d;
+    min_d = std::min(min_d, arrival);
+    max_d = std::max(max_d, arrival);
+    survivors_.push_back({arrival, to});
   }
 
   // Group by arrival delay with a stable LSD radix sort on (delay - min_d),
@@ -124,17 +136,6 @@ void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
     }
     i = j;
   }
-}
-
-Network::Hop Network::transmit_hop(sim::ProcessId logical_from,
-                                   sim::ProcessId hop_from, sim::ProcessId to,
-                                   const PayloadPtr& payload,
-                                   sim::Duration base_delay) {
-  // Partition cuts act on the physical edge (hop_from -> to).
-  const sim::Duration d = draw_fate(hop_from, to, *payload);
-  if (d == 0) return {true, 0};
-  schedule_delivery(logical_from, to, payload, base_delay + d);
-  return {false, base_delay + d};
 }
 
 sim::Duration Network::draw_fate(sim::ProcessId from, sim::ProcessId to,

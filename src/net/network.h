@@ -12,12 +12,14 @@
 // (ids are assigned densely by the churn system), with an attached flag and
 // a generation counter per slot instead of a tree-backed map. Broadcast
 // fan-out walks the live ids in ascending order and draws every copy's fate
-// (partition cut, loss, delay) in that order. The surviving copies are then
-// queued as ONE event per arrival tick, which delivers to its recipients in
-// id order. Nothing else is pushed during the fan-out, so the copies of one
-// broadcast that land on one tick would have held adjacent FIFO slots
-// anyway: the batch reproduces per-copy delivery exactly, with the
-// drop-on-departure check still made per recipient at delivery time.
+// (partition cut, loss, delay) in that order; with a TreeDisseminator
+// installed, each copy's hop starts from its tree parent and leaves at the
+// parent's arrival, otherwise from the sender at once. The surviving copies
+// are then queued as ONE event per arrival tick, which delivers to its
+// recipients in id order. Nothing else is pushed during the fan-out, so the
+// copies of one broadcast that land on one tick would have held adjacent
+// FIFO slots anyway: the batch reproduces per-copy delivery exactly, with
+// the drop-on-departure check still made per recipient at delivery time.
 // Per-delivery metrics are keyed on interned PayloadTypeId tags; the
 // string-keyed view is materialized only on demand.
 #pragma once
@@ -68,31 +70,15 @@ class Network {
 
   void send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload);
 
-  /// Sends one copy to every currently attached process except `from`; the
-  /// direct fan-out queues one event per arrival tick (see file comment).
+  /// Sends one copy to every currently attached process except `from`,
+  /// queued as one event per arrival tick (see file comment).
   void broadcast(sim::ProcessId from, PayloadPtr payload);
 
   /// Installs tree fan-out for broadcast(). nullptr (the default) keeps the
-  /// direct loop — the paper's model, where the sender transmits every copy.
+  /// direct fan-out — the paper's model, where the sender transmits every copy.
   void set_disseminator(std::unique_ptr<TreeDisseminator> d) {
     disseminator_ = std::move(d);
   }
-
-  /// One hop of a (possibly relayed) broadcast: the per-copy fate as the
-  /// tree fan-out sees it.
-  struct Hop {
-    bool lost = false;
-    sim::Duration arrival_offset = 0;  ///< vs now(); meaningful when !lost
-  };
-
-  /// Broadcast hop: draws the verdict for the physical edge
-  /// (hop_from -> to) and, if the copy survives, schedules its delivery
-  /// `base_delay + hop delay` ticks from now with `logical_from` as the
-  /// sender the handler observes (relays are transparent transport;
-  /// protocol replies must reach the original broadcaster).
-  Hop transmit_hop(sim::ProcessId logical_from, sim::ProcessId hop_from,
-                   sim::ProcessId to, const PayloadPtr& payload,
-                   sim::Duration base_delay);
 
   /// Fraction of message copies silently lost (omission faults). Loss is
   /// decided at send time with the simulation RNG.
@@ -142,15 +128,16 @@ class Network {
   std::unique_ptr<DelayModel> delays_;
   std::unique_ptr<TreeDisseminator> disseminator_;  // nullptr = direct fan-out
   FaultHook* fault_hook_ = nullptr;             // nullptr = fault-free
-  std::vector<sim::ProcessId> recipients_scratch_;
-  // Broadcast scratch: surviving copies, and the radix sort's other buffer
-  // for grouping them by arrival delay. Only read inside broadcast(), which
-  // runs no handler, so a nested broadcast cannot observe them; each batch
-  // event owns its own recipient span in the arena.
+  // Broadcast scratch: every tree position's (arrival, id), lost copies
+  // included; the surviving copies; and the radix sort's other buffer for
+  // grouping them by arrival delay. Only read inside broadcast(), which runs
+  // no handler, so a nested broadcast cannot observe them; each batch event
+  // owns its own recipient span in the arena.
   struct Copy {
     sim::Duration delay;
     sim::ProcessId to;
   };
+  std::vector<Copy> positions_;
   std::vector<Copy> survivors_;
   std::vector<Copy> sorted_;
   std::vector<Slot> slots_;  // dense, indexed by ProcessId

@@ -14,8 +14,9 @@
 //                       to a seeded private Rng, keeping even deeply
 //                       diverged variants fully deterministic.
 //
-// All three components hold a shared_ptr to the trace, so a TraceReplayer
-// may be destroyed before the Network/System that own the models it built.
+// The churn models and the target chooser hold a shared_ptr to the trace;
+// the delay models read the TraceReplayer's one net cursor, so the replayer
+// must outlive every Network holding one of them.
 #pragma once
 
 #include <memory>
@@ -35,38 +36,48 @@ namespace dynreg::replay {
 inline constexpr std::uint64_t kNetFallbackSalt = 0x6e65742d66616c6cULL;    // "net-fall"
 inline constexpr std::uint64_t kPickFallbackSalt = 0x7069636b2d66616cULL;   // "pick-fal"
 
-/// Replays the net stream. Loss rate and the wrapped model's delay
-/// distribution are ignored while records last; exhausted, it draws loss
-/// from `loss_rate` and delays uniform in [1, trace.max_delay()] from its
-/// private fallback rng.
+/// The net stream's one positional cursor and fallback rng, owned by the
+/// TraceReplayer. Recording interleaves every world's verdicts into the one
+/// net stream in execution order, so every world's model reads it here.
+struct NetCursor {
+  explicit NetCursor(const Trace& t)
+      : next(t.net.data()),
+        end(t.net.data() + t.net.size()),
+        max_delay(t.max_delay()),
+        fallback(fold64(t.seed, kNetFallbackSalt)) {}
+
+  const NetRecord* next;  // into the trace the replayer keeps alive
+  const NetRecord* end;
+  sim::Duration max_delay;
+  sim::Rng fallback;
+};
+
+/// Replays the net stream through a shared NetCursor. Loss rate and the
+/// wrapped model's delay distribution are ignored while records last;
+/// exhausted, it draws loss from `loss_rate` and delays uniform in
+/// [1, trace.max_delay()] from the cursor's fallback rng.
 class ReplayDelayModel final : public net::DelayModel {
  public:
-  explicit ReplayDelayModel(std::shared_ptr<const Trace> trace)
-      : trace_(std::move(trace)),
-        max_delay_(trace_->max_delay()),
-        fallback_(fold64(trace_->seed, kNetFallbackSalt)) {}
+  explicit ReplayDelayModel(NetCursor& cursor) : cursor_(cursor) {}
 
   sim::Duration delay(sim::Time, sim::ProcessId, sim::ProcessId, const net::Payload&,
                       sim::Rng&) override {
-    return fallback_.uniform_int(1, max_delay_);
+    return cursor_.fallback.uniform_int(1, cursor_.max_delay);
   }
 
   Verdict verdict(sim::Time, sim::ProcessId, sim::ProcessId, const net::Payload&,
                   double loss_rate, sim::Rng&) override {
-    if (next_ < trace_->net.size()) {
-      const NetRecord& r = trace_->net[next_++];
+    if (cursor_.next != cursor_.end) {
+      const NetRecord& r = *cursor_.next++;
       if (r.lost) return {true, 0};
       return {false, r.delay < 1 ? sim::Duration{1} : r.delay};
     }
-    if (loss_rate > 0.0 && fallback_.bernoulli(loss_rate)) return {true, 0};
-    return {false, fallback_.uniform_int(1, max_delay_)};
+    if (loss_rate > 0.0 && cursor_.fallback.bernoulli(loss_rate)) return {true, 0};
+    return {false, cursor_.fallback.uniform_int(1, cursor_.max_delay)};
   }
 
  private:
-  std::shared_ptr<const Trace> trace_;
-  sim::Duration max_delay_;
-  sim::Rng fallback_;
-  std::size_t next_ = 0;
+  NetCursor& cursor_;  // non-owning: the TraceReplayer's
 };
 
 /// Replays the churn stream as a scripted model: each churn tick executes,
@@ -130,50 +141,20 @@ class ReplayTargetChooser final : public client::TargetChooser {
   std::size_t next_ = 0;
 };
 
-/// Non-owning forwarding view over a shared ReplayDelayModel — what each
-/// shard's Network owns in a sharded replay. Recording interleaved every
-/// shard's verdicts into the ONE net stream in execution order, so replay
-/// must consume them through one shared positional cursor; the wrappers give
-/// every Network its own DelayModel object (networks own their models) while
-/// the cursor stays shared. The TraceReplayer owns the real model and must
-/// outlive every Network holding a view.
-class SharedDelayModelView final : public net::DelayModel {
- public:
-  explicit SharedDelayModelView(ReplayDelayModel* shared) : shared_(shared) {}
-
-  sim::Duration delay(sim::Time now, sim::ProcessId from, sim::ProcessId to,
-                      const net::Payload& payload, sim::Rng& rng) override {
-    return shared_->delay(now, from, to, payload, rng);
-  }
-
-  Verdict verdict(sim::Time now, sim::ProcessId from, sim::ProcessId to,
-                  const net::Payload& payload, double loss_rate, sim::Rng& rng) override {
-    return shared_->verdict(now, from, to, payload, loss_rate, rng);
-  }
-
- private:
-  ReplayDelayModel* shared_;  // non-owning
-};
-
-/// Bundles the three replay components for one run. Owns the target chooser
-/// (the Client only holds a non-owning pointer), hands delay/churn model
-/// ownership to the Network/System; must outlive the run it drives.
+/// Bundles the three replay components for one run. Owns the net cursor
+/// and the target chooser (Networks and Clients only reference them), hands
+/// delay/churn model ownership to the Network/System; must outlive the run
+/// it drives.
 class TraceReplayer {
  public:
   explicit TraceReplayer(std::shared_ptr<const Trace> trace)
-      : trace_(std::move(trace)), chooser_(trace_) {}
+      : trace_(std::move(trace)), cursor_(*trace_), chooser_(trace_) {}
+  TraceReplayer(const TraceReplayer&) = delete;  // models and Clients hold its address
+  TraceReplayer& operator=(const TraceReplayer&) = delete;
 
-  /// The direct replay model, for a one-world run.
+  /// A replay model on the one net cursor; call once per world's Network.
   [[nodiscard]] std::unique_ptr<net::DelayModel> make_delay_model() {
-    return std::make_unique<ReplayDelayModel>(trace_);
-  }
-
-  /// Sharded replay: a forwarding view over one replayer-owned shared
-  /// cursor (see SharedDelayModelView). Call once per shard Network; the
-  /// replayer must outlive them all.
-  [[nodiscard]] std::unique_ptr<net::DelayModel> make_delay_model_view() {
-    if (!shared_delay_) shared_delay_ = std::make_unique<ReplayDelayModel>(trace_);
-    return std::make_unique<SharedDelayModelView>(shared_delay_.get());
+    return std::make_unique<ReplayDelayModel>(cursor_);
   }
 
   /// ReplayChurnModel for shard `shard` (0 when unsharded) when the
@@ -188,9 +169,9 @@ class TraceReplayer {
   [[nodiscard]] client::TargetChooser* target_chooser() { return &chooser_; }
 
  private:
-  std::shared_ptr<const Trace> trace_;
+  std::shared_ptr<const Trace> trace_;  // keeps cursor_'s records alive
+  NetCursor cursor_;
   ReplayTargetChooser chooser_;
-  std::unique_ptr<ReplayDelayModel> shared_delay_;  // sharded replay only
 };
 
 }  // namespace dynreg::replay

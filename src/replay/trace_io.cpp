@@ -191,9 +191,10 @@ Trace decode_trace(Reader& r, std::uint32_t version) {
   t.fingerprint = r.varint();
   t.seed = r.varint();
   t.recorded_hash = r.u64();
-  // Before v5 a broadcast copy was its own event, so the recorded hash
-  // cannot match a replay by this build; 0 tells replay to skip the check.
-  if (version < 5) t.recorded_hash = 0;
+  // An older build dispatched a different event stream for the same run, so
+  // its recorded hash cannot match a replay by this one; 0 tells replay to
+  // skip the check.
+  if (version < kTraceVersion) t.recorded_hash = 0;
   t.churn_loop = r.u8() != 0;
 
   // Counts are not trusted for allocation: each record consumes bytes, so a

@@ -45,14 +45,15 @@ inline constexpr std::uint32_t kTraceMagic = 0x52545244u;  // "DRTR"
 // appends the shard layer (shard_count) and keyed-workload fields
 // (key_count, zipf_s, read_frac, storm_every, storm_len) to the embedded
 // config, so sharded runs record/replay/search like everything else.
-// Version 5 keeps v4's layout byte for byte; it marks recorded audit hashes
-// taken with batched broadcast delivery (one event per broadcast and arrival
-// tick), which dispatches fewer events — and so folds a different hash —
-// for the same deliveries. v4 files still decode, with every recorded_hash
-// zeroed, so replay skips only the hash comparison for them. Files older
-// than v4 are rejected (no binary traces are kept as fixtures; recordings
-// are artifacts of the session that made them).
-inline constexpr std::uint32_t kTraceVersion = 5u;
+// Version 5 marks recorded audit hashes taken with batched broadcast
+// delivery (one event per broadcast and arrival tick); version 6 marks those
+// taken with tree fan-out batched the same way. Both keep v4's layout byte
+// for byte: fewer dispatched events fold a different hash for the same
+// deliveries. Any file older than kTraceVersion still decodes, with every
+// recorded_hash zeroed, so replay skips only the hash comparison for it.
+// Files older than v4 are rejected (no binary traces are kept as fixtures;
+// recordings are artifacts of the session that made them).
+inline constexpr std::uint32_t kTraceVersion = 6u;
 inline constexpr std::uint32_t kOldestTraceVersion = 4u;
 
 /// Malformed trace bytes (truncation, bad magic, version from the future,

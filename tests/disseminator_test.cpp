@@ -5,6 +5,7 @@
 // correctness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -121,6 +122,44 @@ TEST(Disseminator, TreeLossDropsOnlyThatRecipientsCopy) {
     // A permanently-silenced subtree would show a node with zero deliveries
     // across 50 independent 0.4-loss draws (p ~ 1e-20).
     EXPECT_GT(copies[id], 0) << "process " << id << " never reached";
+  }
+}
+
+sim::Time last_arrival(const std::vector<Delivery>& log) {
+  sim::Time last = 0;
+  for (const Delivery& d : log) last = std::max(last, d.at);
+  return last;
+}
+
+TEST(Disseminator, DepthIsTheDeepestPositionOfTheBuiltTree) {
+  // depth(n) sizes the ES retransmit timer; it must be the deepest BFS
+  // position under the parent rule, i.e. the hop count of the last copy
+  // the installed tree delivers (FixedDelay(3): 3 ticks per hop).
+  for (std::size_t fanout = 1; fanout <= 8; ++fanout) {
+    const TreeDisseminator tree(fanout);
+    std::vector<std::size_t> hops{0};  // by BFS position; 0 is the sender
+    for (std::size_t n = 2; n <= 200; ++n) {
+      hops.push_back(hops[(n - 2) / fanout] + 1);  // position n-1
+      SCOPED_TRACE(testing::Message() << "fanout " << fanout << ", n " << n);
+      ASSERT_EQ(tree.depth(n), hops.back());
+      const auto log =
+          run_broadcast(std::make_unique<TreeDisseminator>(fanout), n, /*sender=*/0);
+      ASSERT_EQ(last_arrival(log), 3 * tree.depth(n));
+    }
+  }
+  EXPECT_EQ(TreeDisseminator(4).depth(1), 1u);  // no recipient: like direct
+}
+
+TEST(Disseminator, HugeFanoutIsOneLevelNotAChain) {
+  // A trace file's config varint can carry any 64-bit fanout, and the tree
+  // and its depth must read the same value: narrowed to 32 bits, 2^32 would
+  // turn 0, clamp to 1 and build a chain under a depth-1 retransmit timer.
+  if constexpr (sizeof(std::size_t) > 4) {
+    const std::size_t fanout = std::size_t{1} << 32;
+    EXPECT_EQ(TreeDisseminator(fanout).depth(50), 1u);
+    const auto log = run_broadcast(std::make_unique<TreeDisseminator>(fanout), 50, 0);
+    ASSERT_EQ(log.size(), 49u);
+    EXPECT_EQ(last_arrival(log), 3u);
   }
 }
 

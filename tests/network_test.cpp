@@ -19,6 +19,7 @@
 #include "churn/system.h"
 #include "dynreg/sync_register.h"
 #include "net/delay_model.h"
+#include "net/disseminator.h"
 #include "net/fault_hook.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -342,6 +343,96 @@ TEST(NetworkBatch, FixedDelayBroadcastToAThousandIsOneEvent) {
   EXPECT_EQ(events, 1);
   EXPECT_EQ(net.stats().delivered, kN - 1);
   EXPECT_EQ(sim.arena().live_allocations(), 0u);  // the recipient span is freed
+}
+
+TEST(NetworkBatch, FixedDelayTreeBroadcastIsOneEventPerDepth) {
+  // Binary tree over 31 recipients: depths 1..5 arrive at ticks 3..15, and
+  // every copy of one depth shares its tick — one event each, not 31.
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(3));
+  net.set_disseminator(std::make_unique<TreeDisseminator>(2));
+  constexpr sim::ProcessId kN = 32;
+  std::vector<sim::Time> ticks;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&](sim::ProcessId, const Payload&) { ticks.push_back(sim.now()); });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  int events = 0;
+  while (sim.step()) ++events;
+
+  EXPECT_EQ(events, 5);
+  EXPECT_EQ(net.stats().delivered, kN - 1);
+  EXPECT_EQ(ticks.back(), 15u);
+  EXPECT_TRUE(std::is_sorted(ticks.begin(), ticks.end()));
+  EXPECT_EQ(sim.arena().live_allocations(), 0u);
+}
+
+TEST(NetworkBatch, TreeLossAndRelayCutDeliverAsPerCopyTreeModelPredicts) {
+  // Each tree copy draws its fate on the physical edge parent -> to, in
+  // ascending position order; a lost or cut copy still anchors its subtree
+  // at the parent's arrival + 1. A twin Rng replaying that per-copy model
+  // predicts every arrival tick, and within a tick the copies run in id
+  // order. The hook cuts one relay edge (2 -> 8): only the physical edge
+  // may match it, never the logical one (0 -> 8).
+  constexpr sim::Duration kDelta = 3;
+  constexpr sim::ProcessId kN = 40;
+  constexpr std::size_t kFanout = 3;
+  constexpr double kLoss = 0.2;
+  struct RelayCut final : FaultHook {
+    std::vector<std::pair<sim::ProcessId, sim::ProcessId>> asked;
+    bool link_cut(sim::Time, sim::ProcessId from, sim::ProcessId to) override {
+      asked.emplace_back(from, to);
+      return from == 2 && to == 8;
+    }
+    PayloadPtr transform(sim::Time, sim::ProcessId, sim::ProcessId,
+                         const PayloadPtr&) override {
+      return nullptr;
+    }
+  };
+  sim::Simulation sim(11);
+  Network net(sim, std::make_unique<SynchronousDelay>(kDelta));
+  net.set_disseminator(std::make_unique<TreeDisseminator>(kFanout));
+  net.set_loss_rate(kLoss);
+  RelayCut hook;
+  net.set_fault_hook(&hook);
+  std::vector<std::pair<sim::Time, sim::ProcessId>> got;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&, id](sim::ProcessId from, const Payload&) {
+      EXPECT_EQ(from, 0u) << "copy to " << id << " names its relay";
+      got.emplace_back(sim.now(), id);
+    });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  sim.run();
+
+  // Sender 0 holds position 0, so process j holds position j.
+  sim::Rng twin(11);
+  std::vector<std::pair<sim::ProcessId, sim::ProcessId>> edges;
+  std::vector<sim::Time> arrival(kN, 0);
+  std::vector<std::pair<sim::Time, sim::ProcessId>> want;
+  std::uint64_t lost = 0;
+  for (sim::ProcessId j = 1; j < kN; ++j) {
+    const auto parent = static_cast<sim::ProcessId>((j - 1) / kFanout);
+    edges.emplace_back(parent, j);
+    const bool cut = parent == 2 && j == 8;
+    const bool dropped = !cut && twin.bernoulli(kLoss);
+    if (cut || dropped) {
+      lost += dropped ? 1 : 0;
+      arrival[j] = arrival[parent] + 1;
+      continue;
+    }
+    arrival[j] = arrival[parent] + twin.uniform_int(1, kDelta);
+    want.emplace_back(arrival[j], j);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  EXPECT_EQ(hook.asked, edges);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(net.stats().dropped_partition, 1u);
+  EXPECT_EQ(net.stats().dropped_loss, lost);
+  EXPECT_GT(lost, 0u);
+  EXPECT_EQ(sim.rng().next(), twin.next());
 }
 
 // Regression gate on the delivery path's event cost, a ratio that does not

@@ -255,17 +255,21 @@ std::vector<std::uint8_t> encode_as_version(const TraceFile& file, std::uint32_t
 }
 
 TEST(TraceFormat, V4FileDecodesWithRecordedHashZeroed) {
-  // v4 recordings hashed one event per broadcast copy; this build's replay
-  // cannot match that hash, so the decoder drops it and replay falls back
-  // to the emitter-output check. Everything else decodes as written.
+  // Older files hashed a different event stream (v4: one event per
+  // broadcast copy; v5: one event per tree-mode copy); this build's replay
+  // cannot match those hashes, so the decoder drops them and replay falls
+  // back to the emitter-output check. Everything else decodes as written.
   const TraceFile f = sample_file();
   ASSERT_NE(f.traces[0].recorded_hash, 0u);
-  const TraceFile d = decode(encode_as_version(f, 4));
-  ASSERT_EQ(d.traces.size(), f.traces.size());
-  for (const Trace& t : d.traces) EXPECT_EQ(t.recorded_hash, 0u);
-  EXPECT_EQ(d.traces[0].fingerprint, f.traces[0].fingerprint);
-  EXPECT_EQ(d.traces[0].net.size(), f.traces[0].net.size());
-  EXPECT_EQ(d.traces[0].churn.size(), f.traces[0].churn.size());
+  for (const std::uint32_t version : {4u, 5u}) {
+    SCOPED_TRACE(version);
+    const TraceFile d = decode(encode_as_version(f, version));
+    ASSERT_EQ(d.traces.size(), f.traces.size());
+    for (const Trace& t : d.traces) EXPECT_EQ(t.recorded_hash, 0u);
+    EXPECT_EQ(d.traces[0].fingerprint, f.traces[0].fingerprint);
+    EXPECT_EQ(d.traces[0].net.size(), f.traces[0].net.size());
+    EXPECT_EQ(d.traces[0].churn.size(), f.traces[0].churn.size());
+  }
   EXPECT_EQ(decode(encode(f)).traces[0].recorded_hash, f.traces[0].recorded_hash);
 }
 
