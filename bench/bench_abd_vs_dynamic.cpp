@@ -5,7 +5,6 @@
 // majority remain, every subsequent operation blocks forever. The dynamic
 // protocols keep serving because joiners become first-class replicas.
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -33,32 +32,29 @@ ExperimentConfig base_config(harness::Protocol protocol) {
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   const std::vector<double> churn_rates{0.0, 0.0005, 0.001, 0.002, 0.005, 0.01};
   const std::vector<harness::Protocol> protocols{harness::Protocol::kAbd,
                                                  harness::Protocol::kEventuallySync,
                                                  harness::Protocol::kSync};
 
-  // One flattened (protocol, rate, seed) grid — no barrier between
-  // protocols, so no worker idles while the slowest protocol finishes.
-  const std::size_t per_protocol = churn_rates.size() * seeds;
-  std::vector<harness::MetricsReport> reports(protocols.size() * per_protocol);
-  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
-    ExperimentConfig cfg = base_config(protocols[task / per_protocol]);
-    apply_workload(opts, cfg);
-    cfg.churn_rate = churn_rates[(task / seeds) % churn_rates.size()];
-    if (cfg.churn_rate == 0.0) cfg.churn_kind = harness::ChurnKind::kNone;
-    cfg.seed = harness::replica_seed(cfg.seed, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
-  });
+  // One (protocol, rate) grid — no barrier between protocols, so no worker
+  // idles while the slowest protocol finishes.
+  std::vector<ExperimentConfig> cells;
+  for (const harness::Protocol protocol : protocols) {
+    for (const double rate : churn_rates) {
+      ExperimentConfig cfg = base_config(protocol);
+      apply_workload(opts, cfg);
+      cfg.churn_rate = rate;
+      if (rate == 0.0) cfg.churn_kind = harness::ChurnKind::kNone;
+      cells.push_back(cfg);
+    }
+  }
+  const auto grid = harness::run_grid(cells, opts.seeds, opts.jobs, opts.session);
 
   const auto mean = [&](std::size_t protocol, std::size_t rate,
                         double (harness::MetricsReport::*fn)() const) {
-    double total = 0;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      total += (reports[protocol * per_protocol + rate * seeds + s].*fn)();
-    }
-    return total / static_cast<double>(seeds);
+    return harness::mean_of(grid[protocol * churn_rates.size() + rate],
+                            [fn](const harness::MetricsReport& r) { return (r.*fn)(); });
   };
 
   using MR = harness::MetricsReport;

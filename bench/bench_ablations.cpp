@@ -53,107 +53,97 @@ bool scripted_inversion_occurs(bool atomic_reads, std::uint64_t seed) {
   return r1.has_value() && r2.has_value() && *r1 > *r2;
 }
 
-ResultSection ablate_atomic_reads(const RunOptions& opts, std::size_t seeds,
-                                  std::size_t jobs) {
-  // Harness runs (latency/safety) and scripted inversion trials, flattened
-  // into one task grid: variant-major, replica slots pre-assigned.
-  std::vector<MetricsReport> reports(2 * seeds);
+double read_latency(const MetricsReport& r) { return r.read_latency_mean; }
+double write_latency(const MetricsReport& r) { return r.write_latency_mean; }
+double join_latency(const MetricsReport& r) { return r.join_latency_mean; }
+double read_completion(const MetricsReport& r) { return r.read_completion_rate(); }
+double violation_rate(const MetricsReport& r) { return r.regularity.violation_rate(); }
+
+ResultSection ablate_atomic_reads(const RunOptions& opts) {
+  // Harness runs (latency/safety), one cell per variant, then the scripted
+  // inversion trials, variant-major.
+  std::vector<ExperimentConfig> cells;
+  for (const bool atomic : {false, true}) {
+    ExperimentConfig cfg;
+    cfg.protocol = harness::Protocol::kEventuallySync;
+    cfg.timing = harness::Timing::kEventuallySynchronous;
+    cfg.gst = 0;
+    cfg.es_atomic_reads = atomic;
+    cfg.seed = 0;
+    cfg.n = 9;
+    cfg.delta = 8;
+    cfg.duration = 4000;
+    cfg.churn_kind = harness::ChurnKind::kNone;
+    cfg.workload.read_interval = 2;
+    cfg.workload.write_interval = 20;
+    apply_workload(opts, cfg);
+    cells.push_back(cfg);
+  }
+  const auto grid = harness::run_grid(cells, opts.seeds, opts.jobs, opts.session);
   std::vector<int> inversions(2 * kInversionTrials, 0);
-  harness::parallel_for(jobs, reports.size() + inversions.size(), [&](std::size_t task) {
-    if (task < reports.size()) {
-      const bool atomic = task >= seeds;
-      const std::size_t s = task % seeds;
-      ExperimentConfig cfg;
-      cfg.protocol = harness::Protocol::kEventuallySync;
-      cfg.timing = harness::Timing::kEventuallySynchronous;
-      cfg.gst = 0;
-      cfg.es_atomic_reads = atomic;
-      cfg.n = 9;
-      cfg.delta = 8;
-      cfg.duration = 4000;
-      cfg.churn_kind = harness::ChurnKind::kNone;
-      cfg.workload.read_interval = 2;
-      cfg.workload.write_interval = 20;
-      apply_workload(opts, cfg);
-      cfg.seed = harness::replica_seed(0, s);
-      reports[task] = harness::run_experiment(cfg);
-    } else {
-      const std::size_t t = task - reports.size();
-      const bool atomic = t >= kInversionTrials;
-      const std::uint64_t seed = t % kInversionTrials + 1;
-      inversions[t] = scripted_inversion_occurs(atomic, seed) ? 1 : 0;
-    }
+  harness::parallel_for(opts.jobs, inversions.size(), [&](std::size_t t) {
+    const bool atomic = t >= kInversionTrials;
+    const std::uint64_t seed = t % kInversionTrials + 1;
+    inversions[t] = scripted_inversion_occurs(atomic, seed) ? 1 : 0;
   });
 
   stats::DataTable table({"ES variant", "read latency", "write latency",
                           "adversarial inversions / " + std::to_string(kInversionTrials),
                           "violation rate"});
   for (const bool atomic : {false, true}) {
-    double lat_r = 0, lat_w = 0, viol = 0;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      const auto& r = reports[(atomic ? seeds : 0) + s];
-      lat_r += r.read_latency_mean;
-      lat_w += r.write_latency_mean;
-      viol += r.regularity.violation_rate();
-    }
+    const auto& runs = grid[atomic ? 1 : 0];
     int inverted = 0;
     for (std::size_t t = 0; t < kInversionTrials; ++t) {
       inverted += inversions[(atomic ? kInversionTrials : 0) + t];
     }
-    const double n = static_cast<double>(seeds);
     table.add_row({Cell::str(atomic ? "atomic (write-back)" : "regular (paper)"),
-                   Cell::num(lat_r / n, 2), Cell::num(lat_w / n, 2),
-                   Cell::num(inverted, 0), Cell::num(viol / n, 4)});
+                   Cell::num(harness::mean_of(runs, read_latency), 2),
+                   Cell::num(harness::mean_of(runs, write_latency), 2),
+                   Cell::num(inverted, 0), Cell::num(harness::mean_of(runs, violation_rate), 4)});
   }
   return {"atomic_reads", "(a) regular vs atomic ES reads", std::move(table), ""};
 }
 
-ResultSection ablate_fast_join(const RunOptions& opts, std::size_t seeds,
-                               std::size_t jobs) {
+ResultSection ablate_fast_join(const RunOptions& opts) {
   const std::vector<std::optional<sim::Duration>> cases{std::nullopt, 2, 1};
 
-  std::vector<MetricsReport> reports(cases.size() * seeds);
-  harness::parallel_for(jobs, reports.size(), [&](std::size_t task) {
+  std::vector<ExperimentConfig> cells;
+  for (const std::optional<sim::Duration>& delta_pp : cases) {
     ExperimentConfig cfg;
     cfg.protocol = harness::Protocol::kSync;
+    cfg.seed = 0;
     cfg.n = 30;
     cfg.delta = 10;
     cfg.duration = 3000;
     cfg.churn_rate = 0.01;
-    cfg.sync_delta_pp = cases[task / seeds];
+    cfg.sync_delta_pp = delta_pp;
     cfg.workload.read_interval = 5;
     cfg.workload.write_interval = 40;
     apply_workload(opts, cfg);
-    cfg.seed = harness::replica_seed(0, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
-  });
+    cells.push_back(cfg);
+  }
+  const auto grid = harness::run_grid(cells, opts.seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"join variant", "delta", "delta'", "mean join latency",
                           "violation rate"});
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    double lat = 0, viol = 0;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      const auto& r = reports[c * seeds + s];
-      lat += r.join_latency_mean;
-      viol += r.regularity.violation_rate();
-    }
-    const double n = static_cast<double>(seeds);
     table.add_row({Cell::str(cases[c] ? "fast (footnote 4)" : "standard (2*delta)"),
                    Cell::str("10"),
                    Cell::str(cases[c] ? std::to_string(*cases[c]) : "-"),
-                   Cell::num(lat / n, 2), Cell::num(viol / n, 4)});
+                   Cell::num(harness::mean_of(grid[c], join_latency), 2),
+                   Cell::num(harness::mean_of(grid[c], violation_rate), 4)});
   }
   return {"fast_join", "(b) footnote 4 optimized join", std::move(table), ""};
 }
 
-ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds,
-                                 std::size_t jobs) {
+ResultSection ablate_reliability(const RunOptions& opts) {
   const std::vector<double> losses{0.0, 0.05, 0.1, 0.2, 0.4};
   constexpr std::size_t kVariants = 3;  // sync, sync+refresh, es
 
   auto make_config = [](double loss, std::size_t variant) {
     ExperimentConfig cfg;
     cfg.protocol = harness::Protocol::kSync;
+    cfg.seed = 0;
     cfg.n = 20;
     cfg.delta = 5;
     cfg.duration = 2000;
@@ -176,37 +166,27 @@ ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds,
     return cfg;
   };
 
-  std::vector<MetricsReport> reports(losses.size() * kVariants * seeds);
-  harness::parallel_for(jobs, reports.size(), [&](std::size_t task) {
-    const std::size_t loss_i = task / (kVariants * seeds);
-    const std::size_t variant = (task / seeds) % kVariants;
-    ExperimentConfig cfg = make_config(losses[loss_i], variant);
-    apply_workload(opts, cfg);
-    cfg.seed = harness::replica_seed(0, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
-  });
-
-  auto mean_over = [&](std::size_t loss_i, std::size_t variant,
-                       const std::function<double(const MetricsReport&)>& fn) {
-    double total = 0;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      total += fn(reports[(loss_i * kVariants + variant) * seeds + s]);
+  std::vector<ExperimentConfig> cells;
+  for (const double loss : losses) {
+    for (std::size_t variant = 0; variant < kVariants; ++variant) {
+      cells.push_back(make_config(loss, variant));
+      apply_workload(opts, cells.back());
     }
-    return total / static_cast<double>(seeds);
-  };
+  }
+  const auto grid = harness::run_grid(cells, opts.seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"loss rate", "sync violation rate",
                           "sync+refresh violation rate", "es read completion",
                           "es violation rate"});
   for (std::size_t i = 0; i < losses.size(); ++i) {
-    const auto viol = [](const MetricsReport& r) { return r.regularity.violation_rate(); };
-    table.add_row(
-        {Cell::num(losses[i], 2), Cell::num(mean_over(i, 0, viol), 4),
-         Cell::num(mean_over(i, 1, viol), 4),
-         Cell::num(mean_over(i, 2,
-                             [](const MetricsReport& r) { return r.read_completion_rate(); }),
-                   3),
-         Cell::num(mean_over(i, 2, viol), 4)});
+    const auto& sync = grid[i * kVariants];
+    const auto& refresh = grid[i * kVariants + 1];
+    const auto& es = grid[i * kVariants + 2];
+    table.add_row({Cell::num(losses[i], 2),
+                   Cell::num(harness::mean_of(sync, violation_rate), 4),
+                   Cell::num(harness::mean_of(refresh, violation_rate), 4),
+                   Cell::num(harness::mean_of(es, read_completion), 3),
+                   Cell::num(harness::mean_of(es, violation_rate), 4)});
   }
   return {"reliability", "(c) reliable-channel assumption (omission faults)",
           std::move(table),
@@ -222,11 +202,10 @@ ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds,
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   ExperimentResult result;
-  result.sections.push_back(ablate_atomic_reads(opts, seeds, opts.jobs));
-  result.sections.push_back(ablate_fast_join(opts, seeds, opts.jobs));
-  result.sections.push_back(ablate_reliability(opts, seeds, opts.jobs));
+  result.sections.push_back(ablate_atomic_reads(opts));
+  result.sections.push_back(ablate_fast_join(opts));
+  result.sections.push_back(ablate_reliability(opts));
   return result;
 }
 

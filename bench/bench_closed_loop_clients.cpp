@@ -25,8 +25,6 @@ using stats::Cell;
 constexpr std::size_t kDefaultSeeds = 3;
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   ExperimentConfig base;
   base.protocol = harness::Protocol::kEventuallySync;
   base.timing = harness::Timing::kSynchronous;
@@ -42,22 +40,22 @@ ExperimentResult run(const RunOptions& opts) {
 
   const std::vector<double> client_counts{1, 2, 4, 8, 16, 32};
 
-  const auto points = harness::parallel_sweep(
-      base, client_counts,
-      [](ExperimentConfig& cfg, double k) {
-        cfg.workload.clients = static_cast<std::size_t>(k);
-      },
-      seeds, opts.jobs);
+  const auto grid = harness::run_grid(
+      harness::vary(base, client_counts,
+                    [](ExperimentConfig& cfg, double k) {
+                      cfg.workload.clients = static_cast<std::size_t>(k);
+                    }),
+      opts.seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"clients", "read p50", "read p99", "mean read latency",
                           "reads completed", "read completion", "ops dropped",
                           "write p50", "write p99"});
-  for (const auto& p : points) {
-    const auto agg = p.aggregate();
-    const double completed = harness::mean_of(p.runs, [](const harness::MetricsReport& r) {
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto agg = harness::aggregate_metrics(grid[i]);
+    const double completed = harness::mean_of(grid[i], [](const harness::MetricsReport& r) {
       return static_cast<double>(r.reads_completed);
     });
-    table.add_row({Cell::num(p.x, 0), Cell::num(agg.read_latency_p50.mean, 1),
+    table.add_row({Cell::num(client_counts[i], 0), Cell::num(agg.read_latency_p50.mean, 1),
                    Cell::num(agg.read_latency_p99.mean, 1),
                    Cell::num(agg.read_latency.mean, 1), Cell::num(completed, 0),
                    Cell::num(agg.read_completion.mean, 3),

@@ -15,8 +15,6 @@ using stats::Cell;
 constexpr std::size_t kDefaultSeeds = 3;
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   ExperimentConfig base;
   base.protocol = harness::Protocol::kEventuallySync;
   base.timing = harness::Timing::kEventuallySynchronous;
@@ -31,17 +29,17 @@ ExperimentResult run(const RunOptions& opts) {
   const double bound = base.es_churn_threshold();  // 1/(3*delta*n)
   const std::vector<double> multiples{0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
 
-  const auto points = harness::parallel_sweep(
-      base, multiples,
-      [bound](ExperimentConfig& cfg, double m) { cfg.churn_rate = m * bound; }, seeds,
-      opts.jobs);
+  const auto grid = harness::run_grid(
+      harness::vary(base, multiples,
+                    [bound](ExperimentConfig& cfg, double m) { cfg.churn_rate = m * bound; }),
+      opts.seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"c/(1/3dn)", "churn c", "read completion", "write completion",
                           "join completion", "violation rate", "violations total",
                           "majority active", "mean read latency"});
-  for (const auto& p : points) {
-    const auto agg = p.aggregate();
-    table.add_row({Cell::num(p.x, 1), Cell::num(p.x * bound, 5),
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto agg = harness::aggregate_metrics(grid[i]);
+    table.add_row({Cell::num(multiples[i], 1), Cell::num(multiples[i] * bound, 5),
                    Cell::num(agg.read_completion.mean, 3),
                    Cell::num(agg.write_completion.mean, 3),
                    Cell::num(agg.join_completion.mean, 3),

@@ -26,8 +26,6 @@ struct Policy {
 };
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   ExperimentConfig base;
   base.protocol = harness::Protocol::kEventuallySync;
   base.timing = harness::Timing::kEventuallySynchronous;
@@ -56,26 +54,26 @@ ExperimentResult run(const RunOptions& opts) {
     cfg.workload.retry_max_attempts = pol.attempts;
     cfg.workload.retry_backoff = pol.backoff;
     cfg.workload.retry_exponential = pol.exponential;
-    const auto points = harness::parallel_sweep(
-        cfg, durations,
-        [](ExperimentConfig& c, double len) {
-          if (len <= 0) return;
-          c.fault.partition.rate = 0.004;
-          c.fault.partition.duration = static_cast<sim::Duration>(len);
-          c.fault.partition.fraction = 0.3;
-          c.fault.partition.asymmetric = false;  // symmetric cut: both ways
-        },
-        seeds, opts.jobs);
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
+    const auto grid = harness::run_grid(
+        harness::vary(cfg, durations,
+                      [](ExperimentConfig& c, double len) {
+                        if (len <= 0) return;
+                        c.fault.partition.rate = 0.004;
+                        c.fault.partition.duration = static_cast<sim::Duration>(len);
+                        c.fault.partition.fraction = 0.3;
+                        c.fault.partition.asymmetric = false;  // symmetric cut: both ways
+                      }),
+        opts.seeds, opts.jobs, opts.session);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto agg = harness::aggregate_metrics(grid[i]);
       table.add_row(
-          {Cell::str(pol.label), Cell::num(p.x, 0),
-           Cell::num(harness::mean_of(p.runs,
+          {Cell::str(pol.label), Cell::num(durations[i], 0),
+           Cell::num(harness::mean_of(grid[i],
                                       [](const harness::MetricsReport& r) {
                                         return r.faults_partitions;
                                       }),
                      1),
-           Cell::num(harness::mean_of(p.runs,
+           Cell::num(harness::mean_of(grid[i],
                                       [](const harness::MetricsReport& r) {
                                         return r.msgs_dropped_partition;
                                       }),

@@ -108,8 +108,6 @@ ExperimentConfig base_config(harness::Protocol protocol) {
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   struct Row {
     harness::Protocol protocol;
     const char* label;
@@ -135,13 +133,14 @@ ExperimentResult run(const RunOptions& opts) {
   for (const Row& row : rows) {
     ExperimentConfig base = base_config(row.protocol);
     apply_workload(opts, base);
-    const auto points =
-        harness::parallel_sweep(base, row.scenarios, apply_scenario, seeds, opts.jobs);
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
-      const auto mean_of = [&p](auto fn) { return harness::mean_of(p.runs, fn); };
+    const auto grid = harness::run_grid(harness::vary(base, row.scenarios, apply_scenario),
+                                        opts.seeds, opts.jobs, opts.session);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto& runs = grid[i];
+      const auto agg = harness::aggregate_metrics(runs);
+      const auto mean_of = [&runs](auto fn) { return harness::mean_of(runs, fn); };
       table.add_row(
-          {Cell::str(row.label), Cell::str(scenario_name(static_cast<int>(p.x))),
+          {Cell::str(row.label), Cell::str(scenario_name(static_cast<int>(row.scenarios[i]))),
            Cell::num(mean_of([](const harness::MetricsReport& r) {
                        return r.faults_crashes;
                      }),

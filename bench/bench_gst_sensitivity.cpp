@@ -38,22 +38,22 @@ ExperimentConfig base_config() {
   return cfg;
 }
 
+void set_gst(ExperimentConfig& cfg, double gst) { cfg.gst = static_cast<sim::Time>(gst); }
+
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   ExperimentResult result;
 
   {
     auto base = base_config();
     apply_workload(opts, base);
-    const auto points = harness::parallel_sweep(
-        base, {0.0, 500.0, 1000.0, 2000.0, 4000.0},
-        [](ExperimentConfig& cfg, double gst) { cfg.gst = static_cast<sim::Time>(gst); },
-        seeds, opts.jobs);
+    const std::vector<double> gsts{0.0, 500.0, 1000.0, 2000.0, 4000.0};
+    const auto grid = harness::run_grid(harness::vary(base, gsts, set_gst), opts.seeds,
+                                        opts.jobs, opts.session);
     stats::DataTable table({"GST", "read completion", "write completion",
                             "mean read latency", "p99-ish max latency", "violation rate"});
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
-      table.add_row({Cell::num(p.x, 0), Cell::num(agg.read_completion.mean, 3),
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto agg = harness::aggregate_metrics(grid[i]);
+      table.add_row({Cell::num(gsts[i], 0), Cell::num(agg.read_completion.mean, 3),
                      Cell::num(agg.write_completion.mean, 3),
                      Cell::num(agg.read_latency.mean, 1),
                      Cell::num(agg.read_latency_p99.mean, 0),
@@ -68,17 +68,18 @@ ExperimentResult run(const RunOptions& opts) {
     auto cfg = base_config();
     apply_workload(opts, cfg);
     cfg.gst = 2000;
-    const auto points = harness::parallel_sweep(
-        cfg, {10.0, 50.0, 150.0, 300.0, 600.0},
-        [](ExperimentConfig& c, double m) {
-          c.pre_gst_max = static_cast<sim::Duration>(m);
-        },
-        seeds, opts.jobs);
+    const std::vector<double> max_delays{10.0, 50.0, 150.0, 300.0, 600.0};
+    const auto grid = harness::run_grid(
+        harness::vary(cfg, max_delays,
+                      [](ExperimentConfig& c, double m) {
+                        c.pre_gst_max = static_cast<sim::Duration>(m);
+                      }),
+        opts.seeds, opts.jobs, opts.session);
     stats::DataTable table({"pre-GST max delay", "read completion", "write completion",
                             "mean read latency", "violation rate"});
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
-      table.add_row({Cell::num(p.x, 0), Cell::num(agg.read_completion.mean, 3),
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto agg = harness::aggregate_metrics(grid[i]);
+      table.add_row({Cell::num(max_delays[i], 0), Cell::num(agg.read_completion.mean, 3),
                      Cell::num(agg.write_completion.mean, 3),
                      Cell::num(agg.read_latency.mean, 1),
                      Cell::num(agg.violation_rate.mean, 4)});
@@ -93,23 +94,22 @@ ExperimentResult run(const RunOptions& opts) {
     apply_workload(opts, cfg);
     cfg.churn_kind = harness::ChurnKind::kConstant;
     cfg.churn_rate = cfg.es_churn_threshold();
-    const auto points = harness::parallel_sweep(
-        cfg, {0.0, 50.0, 100.0, 250.0, 500.0, 1000.0},
-        [](ExperimentConfig& c, double gst) { c.gst = static_cast<sim::Time>(gst); },
-        seeds, opts.jobs);
+    const std::vector<double> gsts{0.0, 50.0, 100.0, 250.0, 500.0, 1000.0};
+    const auto grid = harness::run_grid(harness::vary(cfg, gsts, set_gst), opts.seeds,
+                                        opts.jobs, opts.session);
     stats::DataTable table({"GST", "majority survived", "joins done / begun",
                             "read completion", "violation rate"});
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto agg = harness::aggregate_metrics(grid[i]);
       // Raw fraction (not the excused-join completion rate): under heavy
       // asynchrony most joiners are churned out before activating, which
       // the excused rate would hide.
-      const double raw_joins = harness::mean_of(p.runs, [](const harness::MetricsReport& r) {
+      const double raw_joins = harness::mean_of(grid[i], [](const harness::MetricsReport& r) {
         return r.joins_started == 0 ? 1.0
                                     : static_cast<double>(r.joins_completed) /
                                           static_cast<double>(r.joins_started);
       });
-      table.add_row({Cell::num(p.x, 0), Cell::num(agg.majority_active_fraction, 2),
+      table.add_row({Cell::num(gsts[i], 0), Cell::num(agg.majority_active_fraction, 2),
                      Cell::num(raw_joins, 3), Cell::num(agg.read_completion.mean, 3),
                      Cell::num(agg.violation_rate.mean, 4)});
     }

@@ -45,7 +45,6 @@ const char* policy_tag(churn::LeavePolicy policy) {
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   const std::vector<double> grid{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0};
   const std::vector<sim::Duration> deltas{3, 5, 8};
 
@@ -61,20 +60,30 @@ ExperimentResult run(const RunOptions& opts) {
       apply_workload(opts, cfg);
       const double threshold = cfg.sync_churn_threshold();
 
-      const auto points = harness::parallel_sweep(
-          cfg, grid,
-          [threshold](ExperimentConfig& c, double f) { c.churn_rate = f * threshold; },
-          seeds, opts.jobs);
+      const auto runs = harness::run_grid(
+          harness::vary(cfg, grid,
+                        [threshold](ExperimentConfig& c, double f) {
+                          c.churn_rate = f * threshold;
+                        }),
+          opts.seeds, opts.jobs, opts.session);
 
       double max_clean_fraction = 0.0;
       stats::DataTable detail({"c/threshold", "survival fraction", "violation rate",
                                "min |A(t,t+3d)|"});
-      for (const auto& p : points) {
-        const double surv = survival_fraction(p.runs);
-        if (surv == 1.0) max_clean_fraction = p.x;
-        detail.add_row({Cell::num(p.x, 2), Cell::num(surv, 2),
-                        Cell::num(p.mean_violation_rate(), 4),
-                        Cell::num(p.mean_min_active_3delta(), 1)});
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        const double surv = survival_fraction(runs[i]);
+        if (surv == 1.0) max_clean_fraction = grid[i];
+        detail.add_row(
+            {Cell::num(grid[i], 2), Cell::num(surv, 2),
+             Cell::num(harness::mean_of(runs[i],
+                                        [](const harness::MetricsReport& r) {
+                                          return r.regularity.violation_rate();
+                                        }),
+                       4),
+             Cell::num(harness::mean_of(
+                           runs[i],
+                           [](const harness::MetricsReport& r) { return r.min_active_3delta; }),
+                       1)});
       }
       result.sections.push_back(
           {std::string(policy_tag(policy)) + "_delta" + std::to_string(delta),

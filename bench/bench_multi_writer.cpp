@@ -17,8 +17,6 @@ using stats::Cell;
 constexpr std::size_t kDefaultSeeds = 3;
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   ExperimentConfig base;
   base.protocol = harness::Protocol::kEventuallySync;
   base.timing = harness::Timing::kEventuallySynchronous;
@@ -33,25 +31,25 @@ ExperimentResult run(const RunOptions& opts) {
   apply_workload(opts, base);
 
   const std::vector<double> writers{1, 2, 3, 5, 7};
-  const auto points = harness::parallel_sweep(
-      base, writers,
-      [](ExperimentConfig& cfg, double w) {
-        cfg.workload.concurrent_writers = static_cast<std::size_t>(w);
-      },
-      seeds, opts.jobs);
+  const auto grid = harness::run_grid(
+      harness::vary(base, writers,
+                    [](ExperimentConfig& cfg, double w) {
+                      cfg.workload.concurrent_writers = static_cast<std::size_t>(w);
+                    }),
+      opts.seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"concurrent writers", "writes completed", "overlapping pairs",
                           "read completion", "violation rate", "violations total",
                           "mean write latency"});
-  for (const auto& p : points) {
-    const auto agg = p.aggregate();
-    const double writes = harness::mean_of(p.runs, [](const harness::MetricsReport& r) {
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto agg = harness::aggregate_metrics(grid[i]);
+    const double writes = harness::mean_of(grid[i], [](const harness::MetricsReport& r) {
       return static_cast<double>(r.writes_completed);
     });
-    const double overlaps = harness::mean_of(p.runs, [](const harness::MetricsReport& r) {
+    const double overlaps = harness::mean_of(grid[i], [](const harness::MetricsReport& r) {
       return static_cast<double>(r.regularity.concurrent_write_pairs);
     });
-    table.add_row({Cell::num(p.x, 0), Cell::num(writes, 0), Cell::num(overlaps, 0),
+    table.add_row({Cell::num(writers[i], 0), Cell::num(writes, 0), Cell::num(overlaps, 0),
                    Cell::num(agg.read_completion.mean, 3),
                    Cell::num(agg.violation_rate.mean, 4),
                    Cell::num(static_cast<double>(agg.violations_total), 0),

@@ -6,7 +6,6 @@
 // delta-long write propagation — and contrasts the ABD baseline, whose
 // read write-back makes it atomic (zero inversions, by construction).
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -39,8 +38,6 @@ struct Case {
 };
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   std::vector<Case> cases;
   for (const sim::Duration gap : {1u, 2u, 4u, 8u, 16u}) {
     cases.push_back({harness::Protocol::kSync, "sync (regular)", gap});
@@ -49,31 +46,28 @@ ExperimentResult run(const RunOptions& opts) {
     cases.push_back({harness::Protocol::kAbd, "abd (atomic)", gap});
   }
 
-  // One flattened (case, seed) grid — the abd cells run alongside the sync
-  // cells instead of behind a barrier.
-  std::vector<harness::MetricsReport> reports(cases.size() * seeds);
-  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
-    ExperimentConfig cfg = base_config(cases[task / seeds].protocol);
+  // One (case, seed) grid — the abd cells run alongside the sync cells
+  // instead of behind a barrier.
+  std::vector<ExperimentConfig> cells;
+  for (const Case& c : cases) {
+    ExperimentConfig cfg = base_config(c.protocol);
     apply_workload(opts, cfg);
-    cfg.workload.read_interval = cases[task / seeds].gap;
-    cfg.seed = harness::replica_seed(cfg.seed, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
-  });
+    cfg.workload.read_interval = c.gap;
+    cells.push_back(cfg);
+  }
+  const auto grid = harness::run_grid(cells, opts.seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"protocol", "read gap (ticks)", "reads checked",
                           "inversions / 1k reads", "inversions max/seed",
                           "regularity violations"});
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    const std::vector<harness::MetricsReport> runs(
-        reports.begin() + static_cast<std::ptrdiff_t>(c * seeds),
-        reports.begin() + static_cast<std::ptrdiff_t>((c + 1) * seeds));
-    const auto agg = harness::aggregate_metrics(runs);
+    const auto agg = harness::aggregate_metrics(grid[c]);
     double inversions = 0, reads = 0;
-    for (const auto& r : runs) {
+    for (const auto& r : grid[c]) {
       inversions += static_cast<double>(r.atomicity.inversion_count);
       reads += static_cast<double>(r.atomicity.reads_checked);
     }
-    const double n = static_cast<double>(seeds);
+    const double n = static_cast<double>(opts.seeds);
     table.add_row({Cell::str(cases[c].label),
                    Cell::num(static_cast<double>(cases[c].gap), 0),
                    Cell::num(reads / n, 0),

@@ -59,7 +59,6 @@ sim::Time scaled_duration(std::size_t n) {
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   const std::vector<double> grid = n_grid(opts);
   // Churn as a fraction of the analytic bound 1/(3*delta).
   const std::vector<double> fractions{0.3, 0.6, 0.9, 1.2};
@@ -76,27 +75,31 @@ ExperimentResult run(const RunOptions& opts) {
     apply_workload(opts, cfg);
     const double threshold = cfg.sync_churn_threshold();
 
-    const auto points = harness::parallel_sweep(
-        cfg, fractions,
-        [threshold](ExperimentConfig& c, double f) { c.churn_rate = f * threshold; },
-        seeds, opts.jobs);
+    const auto runs = harness::run_grid(
+        harness::vary(cfg, fractions,
+                      [threshold](ExperimentConfig& c, double f) {
+                        c.churn_rate = f * threshold;
+                      }),
+        opts.seeds, opts.jobs, opts.session);
 
     stats::DataTable table({"c/threshold", "joins/run", "join completion",
                             "join lat mean", "violation rate"});
     double lat_low = 0.0, completion_high = 0.0, max_clean = 0.0;
-    for (const auto& p : points) {
-      double joins = 0;
-      for (const MetricsReport& r : p.runs) {
-        joins += static_cast<double>(r.joins_started);
-      }
-      joins /= static_cast<double>(p.runs.size());
-      const double viol = p.mean_violation_rate();
-      table.add_row({Cell::num(p.x, 2), Cell::num(joins, 1),
-                     Cell::num(p.mean_join_completion(), 2),
-                     Cell::num(p.mean_join_latency(), 1), Cell::num(viol, 4)});
-      if (p.x == fractions.front()) lat_low = p.mean_join_latency();
-      if (p.x == 0.9) completion_high = p.mean_join_completion();
-      if (viol == 0.0) max_clean = std::max(max_clean, p.x);
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+      const double x = fractions[i];
+      const double joins = harness::mean_of(
+          runs[i], [](const MetricsReport& r) { return r.joins_started; });
+      const double viol = harness::mean_of(
+          runs[i], [](const MetricsReport& r) { return r.regularity.violation_rate(); });
+      const double completion = harness::mean_of(
+          runs[i], [](const MetricsReport& r) { return r.join_completion_rate(); });
+      const double latency = harness::mean_of(
+          runs[i], [](const MetricsReport& r) { return r.join_latency_mean; });
+      table.add_row({Cell::num(x, 2), Cell::num(joins, 1), Cell::num(completion, 2),
+                     Cell::num(latency, 1), Cell::num(viol, 4)});
+      if (x == fractions.front()) lat_low = latency;
+      if (x == 0.9) completion_high = completion;
+      if (viol == 0.0) max_clean = std::max(max_clean, x);
     }
     result.sections.push_back(
         {"n" + std::to_string(n),

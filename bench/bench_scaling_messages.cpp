@@ -71,7 +71,6 @@ double copies(const MetricsReport& r, const char* type) {
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   const std::vector<double> grid = n_grid(opts);
 
   ExperimentResult result;
@@ -83,17 +82,16 @@ ExperimentResult run(const RunOptions& opts) {
        {harness::Dissemination::kFlat, harness::Dissemination::kTree}) {
     ExperimentConfig cfg = base_config(mode);
     apply_workload(opts, cfg);
-    const auto points = harness::parallel_sweep(
-        cfg, grid,
-        [](ExperimentConfig& c, double n) { c.n = static_cast<std::size_t>(n); },
-        seeds, opts.jobs);
+    const auto runs_by_n = harness::run_grid(
+        harness::vary(cfg, grid,
+                      [](ExperimentConfig& c, double n) { c.n = static_cast<std::size_t>(n); }),
+        opts.seeds, opts.jobs, opts.session);
 
     stats::DataTable table({"n", "ops", "msgs/op", "msgs/op / n", "read p50",
                             "write p50", "write p99"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto& p = points[i];
+    for (std::size_t i = 0; i < grid.size(); ++i) {
       double ops = 0, msgs = 0, rp50 = 0, wp50 = 0, wp99 = 0;
-      for (const MetricsReport& r : p.runs) {
+      for (const MetricsReport& r : runs_by_n[i]) {
         ops += static_cast<double>(r.reads_completed + r.writes_completed);
         msgs += copies(r, "es.read") + copies(r, "es.reply") +
                 copies(r, "es.write") + copies(r, "es.ack");
@@ -101,10 +99,10 @@ ExperimentResult run(const RunOptions& opts) {
         wp50 += r.write_latency_p50;
         wp99 += r.write_latency_p99;
       }
-      const double runs = static_cast<double>(p.runs.size());
+      const double runs = static_cast<double>(runs_by_n[i].size());
       const double per_op = msgs / std::max(1.0, ops);
-      table.add_row({Cell::num(p.x, 0), Cell::num(ops / runs, 1),
-                     Cell::num(per_op, 1), Cell::num(per_op / p.x, 3),
+      table.add_row({Cell::num(grid[i], 0), Cell::num(ops / runs, 1),
+                     Cell::num(per_op, 1), Cell::num(per_op / grid[i], 3),
                      Cell::num(rp50 / runs, 1), Cell::num(wp50 / runs, 1),
                      Cell::num(wp99 / runs, 1)});
       const std::size_t col = mode == harness::Dissemination::kFlat ? 0 : 1;

@@ -63,8 +63,6 @@ void add_point_row(stats::DataTable& table, const std::string& label,
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   ExperimentConfig base = base_config();
   if (opts.max_n > 0 && opts.max_n < base.n) {
     base.n = opts.max_n;
@@ -73,20 +71,8 @@ ExperimentResult run(const RunOptions& opts) {
   apply_workload(opts, base);  // --shards/--zipf/--read-frac/--think etc.
 
   const std::vector<double> zipf_exponents{0.0, 0.99, 1.5};
-
-  const auto points = harness::parallel_sweep(
-      base, zipf_exponents,
-      [](ExperimentConfig& cfg, double s) { cfg.workload.zipf_s = s; }, seeds,
-      opts.jobs);
-
-  const std::vector<std::string> columns{"workload",  "hot p99",  "cold p99",
-                                         "hot/cold",  "op skew",  "read p99",
-                                         "ops/tick",  "dropped"};
-
-  stats::DataTable table(columns);
-  for (const auto& p : points) {
-    add_point_row(table, "zipf " + stats::Table::fmt(p.x, 2), p.runs);
-  }
+  std::vector<ExperimentConfig> cells = harness::vary(
+      base, zipf_exponents, [](ExperimentConfig& cfg, double s) { cfg.workload.zipf_s = s; });
 
   // Storm cell: the head key's traffic share goes to ~100% for storm_len of
   // every storm_every ticks — the zipfian effect at its limit.
@@ -94,8 +80,19 @@ ExperimentResult run(const RunOptions& opts) {
   storm.workload.zipf_s = 0.99;
   storm.workload.storm_every = 200;
   storm.workload.storm_len = 50;
-  const auto storm_runs = harness::run_replicas(storm, seeds, opts.jobs);
-  add_point_row(table, "zipf 0.99 + storm", storm_runs);
+  cells.push_back(storm);
+
+  const auto grid = harness::run_grid(cells, opts.seeds, opts.jobs, opts.session);
+
+  const std::vector<std::string> columns{"workload",  "hot p99",  "cold p99",
+                                         "hot/cold",  "op skew",  "read p99",
+                                         "ops/tick",  "dropped"};
+
+  stats::DataTable table(columns);
+  for (std::size_t i = 0; i < zipf_exponents.size(); ++i) {
+    add_point_row(table, "zipf " + stats::Table::fmt(zipf_exponents[i], 2), grid[i]);
+  }
+  add_point_row(table, "zipf 0.99 + storm", grid.back());
 
   ExperimentResult result;
   result.sections.push_back(

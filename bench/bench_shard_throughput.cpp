@@ -62,8 +62,6 @@ void add_point_row(stats::DataTable& table, double x,
 }
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
-
   ExperimentConfig base = base_config();
   // --max-n below the default caps the population (cheap record/replay
   // cells); at or above it the default sweep stays put and the scale
@@ -76,19 +74,19 @@ ExperimentResult run(const RunOptions& opts) {
 
   const std::vector<double> shard_counts{1, 2, 4, 8, 16};
 
-  const auto points = harness::parallel_sweep(
-      base, shard_counts,
-      [](ExperimentConfig& cfg, double s) {
-        cfg.shard_count = static_cast<std::size_t>(s);
-      },
-      seeds, opts.jobs);
+  const auto grid = harness::run_grid(
+      harness::vary(base, shard_counts,
+                    [](ExperimentConfig& cfg, double s) {
+                      cfg.shard_count = static_cast<std::size_t>(s);
+                    }),
+      opts.seeds, opts.jobs, opts.session);
 
   const std::vector<std::string> columns{
       "shards",   "ops/tick", "reads completed", "writes completed",
       "read p50", "read p99", "write p99",       "shard skew"};
 
   stats::DataTable table(columns);
-  for (const auto& p : points) add_point_row(table, p.x, p.runs);
+  for (std::size_t i = 0; i < grid.size(); ++i) add_point_row(table, shard_counts[i], grid[i]);
 
   ExperimentResult result;
   result.sections.push_back(
@@ -115,9 +113,9 @@ ExperimentResult run(const RunOptions& opts) {
     scale.workload.key_count = 4096;
     apply_workload(opts, scale);
 
-    const auto runs = harness::run_replicas(scale, 1, opts.jobs);
+    const auto runs = harness::run_grid({scale}, 1, opts.jobs, opts.session);
     stats::DataTable scale_table(columns);
-    add_point_row(scale_table, static_cast<double>(scale.shard_count), runs);
+    add_point_row(scale_table, static_cast<double>(scale.shard_count), runs[0]);
     result.sections.push_back(
         {"scale_1e5",
          "scale cell: n = " + std::to_string(opts.max_n) + ", " +

@@ -34,7 +34,6 @@ ExperimentConfig base_config() {
 const std::vector<double> kFractions{0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0};
 
 ExperimentResult run(const RunOptions& opts) {
-  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   ExperimentConfig base = base_config();
   apply_workload(opts, base);
   const double threshold = base.sync_churn_threshold();
@@ -45,14 +44,16 @@ ExperimentResult run(const RunOptions& opts) {
   ExperimentResult result;
 
   {
-    const auto points = harness::parallel_sweep(base, kFractions, set_churn, seeds, opts.jobs);
+    const auto grid = harness::run_grid(harness::vary(base, kFractions, set_churn),
+                                        opts.seeds, opts.jobs, opts.session);
     stats::DataTable table(
         {"c/threshold", "churn c", "violation rate", "violations total",
          "violations max/seed", "reads of bottom", "join completion",
          "mean join latency", "min |A(t,t+3d)|"});
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
-      table.add_row({Cell::num(p.x, 2), Cell::num(p.x * threshold, 4),
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const double x = kFractions[i];
+      const auto agg = harness::aggregate_metrics(grid[i]);
+      table.add_row({Cell::num(x, 2), Cell::num(x * threshold, 4),
                      Cell::num(agg.violation_rate.mean, 4),
                      Cell::num(static_cast<double>(agg.violations_total), 0),
                      Cell::num(static_cast<double>(agg.violations_max_seed), 0),
@@ -76,15 +77,16 @@ ExperimentResult run(const RunOptions& opts) {
     ExperimentConfig surv = base;
     surv.workload.writes_enabled = false;
     surv.workload.read_interval = 5;
-    const auto points = harness::parallel_sweep(surv, kFractions, set_churn, seeds, opts.jobs);
+    const auto grid = harness::run_grid(harness::vary(surv, kFractions, set_churn),
+                                        opts.seeds, opts.jobs, opts.session);
     stats::DataTable table({"c/threshold", "reads of bottom", "violation rate",
                             "violations total", "min |A(t,t+3d)|", "value survived"});
-    for (const auto& p : points) {
-      const auto agg = p.aggregate();
-      const double survived = harness::mean_of(p.runs, [](const harness::MetricsReport& r) {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto agg = harness::aggregate_metrics(grid[i]);
+      const double survived = harness::mean_of(grid[i], [](const harness::MetricsReport& r) {
         return r.reads_of_bottom == 0 ? 1.0 : 0.0;
       });
-      table.add_row({Cell::num(p.x, 2), Cell::num(agg.reads_of_bottom.mean, 1),
+      table.add_row({Cell::num(kFractions[i], 2), Cell::num(agg.reads_of_bottom.mean, 1),
                      Cell::num(agg.violation_rate.mean, 4),
                      Cell::num(static_cast<double>(agg.violations_total), 0),
                      Cell::num(agg.min_active_3delta.mean, 1), Cell::num(survived, 2)});

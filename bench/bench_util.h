@@ -33,22 +33,24 @@ bool pump_until(sim::Simulation& sim, Pred pred, sim::Time deadline) {
 
 /// A scripted protocol deployment (no workload driver; the bench drives).
 ///
-/// Record/replay: pass a nonzero `replay_key` (replay::scenario_key of the
-/// scenario's name and distinguishing parameters) and the cluster enrolls
-/// in the global replay session exactly like a run_experiment run — its
-/// net/churn decisions are captured in record mode and re-fed in replay
-/// mode, keyed by (replay_key, seed). Bench-driven spawn()/leave() calls
-/// and operations re-occur naturally when the bench code runs again, so
-/// only the substrate's decisions are in the trace. With replay_key 0 (the
-/// default) the cluster ignores the session.
+/// Record/replay: pass a `session` and the cluster enrolls in it under
+/// (replay_key, seed) — replay_key being replay::scenario_key of the
+/// scenario's name and distinguishing parameters — exactly like a
+/// run_grid replica: its net/churn decisions are captured when recording
+/// and re-fed when replaying, and the destructor finishes the run with its
+/// audit hash. Bench-driven spawn()/leave() calls and operations re-occur
+/// naturally when the bench code runs again, so only the substrate's
+/// decisions are in the trace. Without a session (the default) the cluster
+/// is a plain run.
 class ScriptedCluster {
  public:
   ScriptedCluster(std::uint64_t seed, std::size_t n, double churn_rate,
                   churn::LeavePolicy policy, std::unique_ptr<net::DelayModel> delays,
-                  churn::System::NodeFactory factory, std::uint64_t replay_key = 0)
-      : replay_key_(replay_key),
+                  churn::System::NodeFactory factory, replay::Session* session = nullptr,
+                  std::uint64_t replay_key = 0)
+      : session_(session),
         sim(seed),
-        net(sim, prepare_delays(std::move(delays), seed, churn_rate)) {
+        net(sim, prepare_delays(std::move(delays), replay_key, seed, churn_rate)) {
     churn::SystemConfig cfg;
     cfg.initial_size = n;
     cfg.leave_policy = policy;
@@ -67,15 +69,7 @@ class ScriptedCluster {
   }
 
   ~ScriptedCluster() {
-    replay::Session& session = replay::Session::instance();
-    if (rec_trace_) {
-      rec_trace_->recorded_hash = sim.trace_hash();
-      session.commit(std::move(*rec_trace_));
-    } else if (replay_trace_) {
-      const std::uint64_t h = sim.trace_hash();
-      session.note_replay(replay_trace_->recorded_hash == 0 || h == 0 ||
-                          h == replay_trace_->recorded_hash);
-    }
+    if (session_ != nullptr) session_->finish(hooks_, sim.trace_hash());
   }
 
   ScriptedCluster(const ScriptedCluster&) = delete;
@@ -84,23 +78,23 @@ class ScriptedCluster {
   static std::unique_ptr<ScriptedCluster> sync(std::uint64_t seed, std::size_t n,
                                                double churn_rate, const SyncConfig& cfg,
                                                std::unique_ptr<net::DelayModel> delays,
-                                               churn::LeavePolicy policy =
-                                                   churn::LeavePolicy::kUniform,
-                                               std::uint64_t replay_key = 0) {
+                                               churn::LeavePolicy policy,
+                                               replay::Session* session,
+                                               std::uint64_t replay_key) {
     return std::make_unique<ScriptedCluster>(
         seed, n, churn_rate, policy, std::move(delays),
         [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
           return std::make_unique<SyncRegisterNode>(id, ctx, cfg, initial);
         },
-        replay_key);
+        session, replay_key);
   }
 
   static std::unique_ptr<ScriptedCluster> es(std::uint64_t seed, std::size_t n,
                                              double churn_rate,
                                              std::unique_ptr<net::DelayModel> delays,
-                                             churn::LeavePolicy policy =
-                                                 churn::LeavePolicy::kUniform,
-                                             std::uint64_t replay_key = 0) {
+                                             churn::LeavePolicy policy,
+                                             replay::Session* session,
+                                             std::uint64_t replay_key) {
     EsConfig cfg;
     cfg.n = n;
     return std::make_unique<ScriptedCluster>(
@@ -108,7 +102,7 @@ class ScriptedCluster {
         [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
           return std::make_unique<EsRegisterNode>(id, ctx, cfg, initial);
         },
-        replay_key);
+        session, replay_key);
   }
 
   RegisterNode* node(sim::ProcessId id) {
@@ -119,28 +113,27 @@ class ScriptedCluster {
   // Replay plumbing. Declared before `sim`/`net` so prepare_delays (called
   // in net's initializer) can populate it; the replayer must also outlive
   // the Network that owns the delay model it built.
-  std::uint64_t replay_key_ = 0;
-  std::unique_ptr<replay::Trace> rec_trace_;
+  replay::Session* session_ = nullptr;
+  replay::Trace scratch_;
+  replay::RunHooks hooks_;
   std::unique_ptr<replay::TraceRecorder> recorder_;
-  std::shared_ptr<const replay::Trace> replay_trace_;
   std::unique_ptr<replay::TraceReplayer> replayer_;
 
   std::unique_ptr<net::DelayModel> prepare_delays(std::unique_ptr<net::DelayModel> delays,
+                                                  std::uint64_t replay_key,
                                                   std::uint64_t seed, double churn_rate) {
-    replay::Session& session = replay::Session::instance();
-    const replay::Session::Mode mode = session.mode();
-    if (replay_key_ == 0 || mode == replay::Session::Mode::kOff) return delays;
-    if (mode == replay::Session::Mode::kRecord) {
-      rec_trace_ = std::make_unique<replay::Trace>();
-      rec_trace_->fingerprint = replay_key_;
-      rec_trace_->seed = seed;
-      rec_trace_->churn_loop = churn_rate > 0.0;
-      recorder_ = std::make_unique<replay::TraceRecorder>(*rec_trace_);
+    if (session_ == nullptr) return delays;
+    hooks_ = session_->open(replay_key, seed, scratch_);
+    if (hooks_.record != nullptr) {
+      hooks_.record->churn_loop = churn_rate > 0.0;
+      recorder_ = std::make_unique<replay::TraceRecorder>(*hooks_.record);
       return std::make_unique<replay::RecordingDelayModel>(std::move(delays),
-                                                           *rec_trace_);
+                                                           *hooks_.record);
     }
-    replay_trace_ = session.find(replay_key_, seed);
-    replayer_ = std::make_unique<replay::TraceReplayer>(replay_trace_);
+    // Aliasing ctor: the session owns the trace and outlives the cluster.
+    replayer_ = std::make_unique<replay::TraceReplayer>(
+        std::shared_ptr<const replay::Trace>(std::shared_ptr<const replay::Trace>(),
+                                             hooks_.replay));
     return replayer_->make_delay_model();
   }
 

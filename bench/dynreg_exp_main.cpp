@@ -31,7 +31,8 @@
 //   dynreg_exp replay FILE [--jobs=N]
 //       Re-runs the experiment recorded in FILE driven from its traces and
 //       prints the JSON to stdout — byte-identical to the record's, at any
-//       --jobs. Exit 1 on any audit-hash mismatch. (see docs/REPLAY.md)
+//       --jobs. Reports matched, mismatched and not-compared audit hashes
+//       on stderr; exit 1 on any mismatch. (see docs/REPLAY.md)
 //   dynreg_exp search <name|FILE> [--budget=N] [--seed=N] [--jobs=N]
 //              [--slack=N] [--out=FILE]
 //       Adversarial schedule search: records the experiment's scenario run
@@ -395,15 +396,14 @@ int cmd_record(const std::vector<std::string>& args) {
     return 1;
   }
 
-  replay::Session& session = replay::Session::instance();
-  session.begin_record();
+  replay::Session session;
+  opts.session = &session;
   const std::size_t seeds = bench::effective_seeds(*e, opts);
   const bench::ExperimentResult result = bench::run_resolved(*e, opts);
   replay::TraceFile file;
   file.experiment = e->name;
   file.seeds = {seeds};
   file.traces = session.collected();
-  session.end();
 
   try {
     replay::write_file(*out, file);
@@ -455,22 +455,20 @@ int cmd_replay(const std::vector<std::string>& args) {
   }
   opts.seeds = static_cast<std::size_t>(file.seeds[0]);
 
-  replay::Session& session = replay::Session::instance();
-  session.begin_replay(std::move(file.traces));
+  replay::Session session(std::move(file.traces));
+  opts.session = &session;
   bench::ExperimentResult result;
   try {
     result = bench::run_resolved(*e, opts);
   } catch (const replay::TraceError& err) {
-    session.end();
     std::cerr << "replay: " << err.what() << "\n";
     return 1;
   }
-  const std::size_t replays = session.replays();
   const std::size_t mismatches = session.hash_mismatches();
-  session.end();
 
-  std::cerr << "replayed " << replays << " run(s), " << mismatches
-            << " audit-hash mismatch(es)\n";
+  std::cerr << "replayed " << session.replays() << " run(s), " << mismatches
+            << " audit-hash mismatch(es), " << session.not_compared()
+            << " not compared\n";
   std::cout << bench::to_json(*e, opts.seeds, result);
   return mismatches == 0 ? 0 : 1;
 }

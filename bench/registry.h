@@ -3,11 +3,11 @@
 // grid, and a run function. The dynreg_exp CLI is a thin driver over this
 // table.
 //
-// Run functions receive RunOptions (seed count, worker count) and return
-// structured sections (stats::DataTable) instead of printing — the driver
-// chooses the output format (console table, JSON, CSV). Determinism
-// contract: for a fixed seed count the returned result is byte-identically
-// serializable regardless of `jobs`.
+// Run functions receive RunOptions (seed count, worker count, the
+// record/replay session) and return structured sections (stats::DataTable)
+// instead of printing — the driver chooses the output format (console
+// table, JSON, CSV). Determinism contract: for a fixed seed count the
+// returned result is byte-identically serializable regardless of `jobs`.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +24,10 @@
 namespace dynreg::harness {
 struct ExperimentConfig;
 }  // namespace dynreg::harness
+
+namespace dynreg::replay {
+class Session;
+}  // namespace dynreg::replay
 
 namespace dynreg::bench {
 
@@ -56,10 +60,9 @@ struct WorkloadOverrides {
 /// CLI-controlled execution knobs handed to every experiment run function.
 struct RunOptions {
   /// Seeds (replicas) per sweep point; 0 means the experiment's default.
-  /// Drivers resolve the default via run_resolved() before invoking run, so
-  /// run functions see a nonzero value (they fall back to 1 if called
-  /// directly with 0). Scripted scenario experiments (deterministic
-  /// constructions, no seed dimension) ignore this.
+  /// Drivers resolve the default via run_resolved() before invoking run;
+  /// harness::run_grid rejects 0. Scripted scenario experiments
+  /// (deterministic constructions, no seed dimension) ignore this.
   std::size_t seeds = 0;
   /// Max replicas in flight at once; 0 means one per hardware thread.
   std::size_t jobs = 1;
@@ -69,6 +72,9 @@ struct RunOptions {
   /// 0 means each experiment's default grid. Other experiments ignore it.
   std::size_t max_n = 0;
   WorkloadOverrides workload;
+  /// The record/replay session every run enrolls in (`dynreg_exp
+  /// record|replay`, see replay/session.h); nullptr is a plain run.
+  replay::Session* session = nullptr;
 };
 
 /// One table of results plus the paper-shape commentary attached to it.

@@ -27,8 +27,6 @@
 #include "replay/hooks.h"
 #include "replay/recorder.h"
 #include "replay/replayer.h"
-#include "replay/session.h"
-#include "replay/trace_io.h"
 #include "shard/keyed_workload.h"
 #include "shard/router.h"
 
@@ -105,34 +103,7 @@ std::vector<sim::ProcessId> designated_writers(const ExperimentConfig& cfg) {
 }
 
 MetricsReport run_experiment(const ExperimentConfig& cfg) {
-  replay::Session& session = replay::Session::instance();
-  switch (session.mode()) {
-    case replay::Session::Mode::kOff:
-      return run_experiment(cfg, replay::RunHooks{});
-    case replay::Session::Mode::kRecord: {
-      replay::Trace trace;
-      trace.fingerprint = replay::fingerprint(cfg);
-      trace.seed = cfg.seed;
-      replay::RunHooks hooks;
-      hooks.record = &trace;
-      MetricsReport report = run_experiment(cfg, hooks);
-      trace.recorded_hash = report.trace_hash;
-      session.commit(std::move(trace));
-      return report;
-    }
-    case replay::Session::Mode::kReplay: {
-      const std::shared_ptr<const replay::Trace> trace =
-          session.find(replay::fingerprint(cfg), cfg.seed);
-      replay::RunHooks hooks;
-      hooks.replay = trace.get();
-      MetricsReport report = run_experiment(cfg, hooks);
-      // No comparison when either side ran without the auditor (hash 0).
-      session.note_replay(trace->recorded_hash == 0 || report.trace_hash == 0 ||
-                          report.trace_hash == trace->recorded_hash);
-      return report;
-    }
-  }
-  return run_experiment(cfg, replay::RunHooks{});  // unreachable
+  return run_experiment(cfg, replay::RunHooks{});
 }
 
 namespace {
@@ -383,7 +354,7 @@ MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks
   // only referenced (non-owning) by the Clients.
   std::unique_ptr<replay::TraceReplayer> replayer;
   if (hooks.replay != nullptr) {
-    // Aliasing ctor: the session/caller guarantees *hooks.replay outlives
+    // Aliasing ctor: the caller guarantees *hooks.replay outlives
     // this call, so the shared_ptr carries no ownership.
     replayer = std::make_unique<replay::TraceReplayer>(
         std::shared_ptr<const replay::Trace>(std::shared_ptr<const replay::Trace>(),

@@ -114,18 +114,13 @@ struct ExperimentConfig {
 /// workload until `config.duration`, then harvests metrics and runs the
 /// consistency checkers over every recorded history. Self-contained and
 /// thread-compatible: concurrent calls share no state, which is what the
-/// parallel sweep engine exploits. Throws std::invalid_argument for a config
-/// the pipeline cannot honour (shard_count > n, or a fault plan on a sharded
-/// run) rather than returning vacuous results.
-///
-/// When the global replay::Session is in record or replay mode this entry
-/// point transparently captures, respectively re-feeds, the run's schedule
-/// (see src/replay/session.h); otherwise it is a plain run.
+/// replica grid (harness/sweep.h) exploits. Throws std::invalid_argument for
+/// a config the pipeline cannot honour (shard_count > n, or a fault plan on
+/// a sharded run) rather than returning vacuous results.
 MetricsReport run_experiment(const ExperimentConfig& config);
 
-/// Same run, with explicit record/replay hooks (see replay/hooks.h) and no
-/// session involvement — the schedule searcher's and minimizer's entry
-/// point. Pass a default-constructed RunHooks for a plain run.
+/// Same run, recording or replaying its schedule through `hooks` (see
+/// replay/hooks.h). A default-constructed RunHooks is a plain run.
 MetricsReport run_experiment(const ExperimentConfig& config,
                              const replay::RunHooks& hooks);
 

@@ -1,6 +1,10 @@
 #include "harness/sweep.h"
 
+#include <stdexcept>
+
 #include "harness/thread_pool.h"
+#include "replay/session.h"
+#include "replay/trace_io.h"
 
 namespace dynreg::harness {
 
@@ -9,37 +13,29 @@ std::uint64_t replica_seed(std::uint64_t base_seed, std::size_t index) {
   return base_seed + (static_cast<std::uint64_t>(index) + 1) * 1009;
 }
 
-std::vector<MetricsReport> run_replicas(const ExperimentConfig& base, std::size_t seeds,
-                                        std::size_t jobs) {
-  std::vector<MetricsReport> runs(seeds);
-  parallel_for(jobs, seeds, [&](std::size_t s) {
-    ExperimentConfig cfg = base;
-    cfg.seed = replica_seed(base.seed, s);
-    runs[s] = run_experiment(cfg);
-  });
-  return runs;
-}
-
-std::vector<SweepPoint> parallel_sweep(const ExperimentConfig& base,
-                                       const std::vector<double>& xs,
-                                       const ConfigureFn& configure, std::size_t seeds,
-                                       std::size_t jobs) {
-  std::vector<SweepPoint> points(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    points[i].x = xs[i];
-    points[i].runs.resize(seeds);
-  }
-  // Flatten the (x, seed) grid: every replica gets a pre-assigned slot, so
+std::vector<std::vector<MetricsReport>> run_grid(const std::vector<ExperimentConfig>& cells,
+                                                 std::size_t seeds, std::size_t jobs,
+                                                 replay::Session* session) {
+  if (seeds == 0) throw std::invalid_argument("run_grid: seeds must be at least 1");
+  std::vector<std::vector<MetricsReport>> grid(cells.size(),
+                                               std::vector<MetricsReport>(seeds));
+  // Flatten the (cell, seed) grid: every replica gets a pre-assigned slot, so
   // the assembled result is independent of scheduling.
-  parallel_for(jobs, xs.size() * seeds, [&](std::size_t task) {
-    const std::size_t xi = task / seeds;
+  parallel_for(jobs, cells.size() * seeds, [&](std::size_t task) {
+    const std::size_t c = task / seeds;
     const std::size_t s = task % seeds;
-    ExperimentConfig cfg = base;
-    configure(cfg, xs[xi]);
-    cfg.seed = replica_seed(base.seed, s);
-    points[xi].runs[s] = run_experiment(cfg);
+    ExperimentConfig cfg = cells[c];
+    cfg.seed = replica_seed(cells[c].seed, s);
+    if (session == nullptr) {
+      grid[c][s] = run_experiment(cfg);
+      return;
+    }
+    replay::Trace scratch;
+    const replay::RunHooks hooks = session->open(replay::fingerprint(cfg), cfg.seed, scratch);
+    grid[c][s] = run_experiment(cfg, hooks);
+    session->finish(hooks, grid[c][s].trace_hash);
   });
-  return points;
+  return grid;
 }
 
 }  // namespace dynreg::harness

@@ -1,24 +1,28 @@
-// Parameter sweeps: run a base experiment at several values of one knob,
-// each over several seeds, and expose per-point aggregates.
+// The replica grid: run every cell (a config) over several seeds and collect
+// the reports, optionally enrolled in a record/replay session.
 //
-// The parallel engine runs the (x, seed) grid on a ThreadPool. Each replica
-// owns its whole world — Simulation, Rng, Network, nodes — so runs never
-// share mutable state, and every replica writes its MetricsReport into a
-// pre-assigned slot. The collected output is therefore byte-identical for
-// any worker count: parallelism changes wall-clock time only.
+// The grid runs on a ThreadPool. Each replica owns its whole world —
+// Simulation, Rng, Network, nodes — so runs never share mutable state, and
+// every replica writes its MetricsReport into a pre-assigned slot. The
+// collected output is therefore byte-identical for any worker count:
+// parallelism changes wall-clock time only.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "harness/aggregate.h"
 #include "harness/experiment.h"
 #include "harness/metrics.h"
 
+namespace dynreg::replay {
+class Session;
+}  // namespace dynreg::replay
+
 namespace dynreg::harness {
 
-/// Mean of fn over a set of runs.
+/// Mean of fn over a set of runs, summed in run order (aggregate_metrics
+/// sorts first, so the two may differ in the last bit).
 template <typename Fn>
 double mean_of(const std::vector<MetricsReport>& runs, Fn fn) {
   if (runs.empty()) return 0.0;
@@ -27,53 +31,29 @@ double mean_of(const std::vector<MetricsReport>& runs, Fn fn) {
   return total / static_cast<double>(runs.size());
 }
 
-/// One swept knob value with its per-seed runs.
-struct SweepPoint {
-  double x = 0.0;                    // the swept knob's value
-  std::vector<MetricsReport> runs;   // one per seed, in seed order
-
-  /// Full cross-seed distribution summary (see harness/aggregate.h).
-  [[nodiscard]] AggregatedMetrics aggregate() const { return aggregate_metrics(runs); }
-
-  double mean_violation_rate() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.regularity.violation_rate(); });
-  }
-  double mean_join_completion() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.join_completion_rate(); });
-  }
-  double mean_join_latency() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.join_latency_mean; });
-  }
-  double mean_min_active_3delta() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.min_active_3delta; });
-  }
-};
-
-/// The seed used for replica `index` of a sweep/replica set rooted at
+/// The seed used for replica `index` of a cell whose config carries
 /// `base_seed`. Part of the determinism contract: results are identified by
 /// (config, replica_seed(base, i)), never by execution order.
 std::uint64_t replica_seed(std::uint64_t base_seed, std::size_t index);
 
-/// Applies one swept knob value to a private config copy. One instance per
-/// sweep call; invoked once per (x, seed) replica setup — configuration
-/// time, never on the simulated event path.
-// dynreg-lint: allow(std-function): one instance per sweep call, invoked at replica setup only
-using ConfigureFn = std::function<void(ExperimentConfig&, double)>;
+/// Copies of `base`, one per x in `xs`, with apply(cfg, x) applied — the
+/// cells of a one-knob sweep, in xs order.
+template <typename Apply>
+std::vector<ExperimentConfig> vary(const ExperimentConfig& base,
+                                   const std::vector<double>& xs, Apply apply) {
+  std::vector<ExperimentConfig> cells(xs.size(), base);
+  for (std::size_t i = 0; i < xs.size(); ++i) apply(cells[i], xs[i]);
+  return cells;
+}
 
-/// Runs `seeds` replicas of `base` (differing only in seed) across up to
-/// `jobs` worker threads (0 = one per hardware thread). The result vector is
-/// in seed order regardless of jobs.
-std::vector<MetricsReport> run_replicas(const ExperimentConfig& base, std::size_t seeds,
-                                        std::size_t jobs);
-
-/// Runs `base` once per (x, seed) pair, `configure` applying x to a copy of
-/// the base config before each run, with up to `jobs` replicas in flight at
-/// once (0 = one per hardware thread). Point and run order match the inputs
-/// regardless of jobs. `configure` must be safe to call concurrently (it
-/// only ever mutates the private copy it is handed).
-std::vector<SweepPoint> parallel_sweep(const ExperimentConfig& base,
-                                       const std::vector<double>& xs,
-                                       const ConfigureFn& configure, std::size_t seeds,
-                                       std::size_t jobs);
+/// Runs `seeds` replicas of every cell — replica s of cell c at
+/// replica_seed(cells[c].seed, s) — with up to `jobs` in flight at once
+/// (0 = one per hardware thread), and returns the reports as [cell][seed].
+/// With a `session`, every replica is enrolled in it under its config
+/// fingerprint (recorded or replayed, see replay/session.h); nullptr is a
+/// plain run. Throws std::invalid_argument when seeds is 0.
+std::vector<std::vector<MetricsReport>> run_grid(const std::vector<ExperimentConfig>& cells,
+                                                 std::size_t seeds, std::size_t jobs,
+                                                 replay::Session* session);
 
 }  // namespace dynreg::harness

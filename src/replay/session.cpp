@@ -6,75 +6,53 @@
 
 namespace dynreg::replay {
 
-Session& Session::instance() {
-  static Session session;
-  return session;
-}
-
-void Session::begin_record() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mode_ = Mode::kRecord;
-  traces_.clear();
-  replays_ = 0;
-  hash_mismatches_ = 0;
-}
-
-void Session::begin_replay(std::vector<Trace> traces) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mode_ = Mode::kReplay;
-  traces_.clear();
-  replays_ = 0;
-  hash_mismatches_ = 0;
+Session::Session(std::vector<Trace> traces) : replaying_(true) {
   for (Trace& t : traces) {
     const Key key{t.fingerprint, t.seed};
-    traces_.emplace(key, std::make_shared<const Trace>(std::move(t)));
+    traces_.emplace(key, std::move(t));
   }
 }
 
-void Session::end() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mode_ = Mode::kOff;
-  traces_.clear();
-  replays_ = 0;
-  hash_mismatches_ = 0;
-}
-
-Session::Mode Session::mode() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return mode_;
-}
-
-void Session::commit(Trace trace) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (mode_ != Mode::kRecord) return;
-  const Key key{trace.fingerprint, trace.seed};
-  traces_.emplace(key, std::make_shared<const Trace>(std::move(trace)));
-}
-
-std::shared_ptr<const Trace> Session::find(std::uint64_t fingerprint,
-                                           std::uint64_t seed) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = traces_.find(Key{fingerprint, seed});
+RunHooks Session::open(std::uint64_t key, std::uint64_t seed, Trace& scratch) const {
+  RunHooks hooks;
+  if (!replaying_) {
+    scratch.fingerprint = key;
+    scratch.seed = seed;
+    hooks.record = &scratch;
+    return hooks;
+  }
+  const auto it = traces_.find(Key{key, seed});
   if (it == traces_.end()) {
-    throw TraceError("no trace recorded for config fingerprint " +
-                     std::to_string(fingerprint) + ", seed " + std::to_string(seed) +
+    throw TraceError("no trace recorded for config fingerprint " + std::to_string(key) +
+                     ", seed " + std::to_string(seed) +
                      " — the trace file does not cover this run (different "
                      "experiment options?)");
   }
-  return it->second;
+  hooks.replay = &it->second;
+  return hooks;
 }
 
-void Session::note_replay(bool hash_match) {
+void Session::finish(const RunHooks& hooks, std::uint64_t trace_hash) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++replays_;
-  if (!hash_match) ++hash_mismatches_;
+  if (hooks.record != nullptr) {
+    hooks.record->recorded_hash = trace_hash;
+    const Key key{hooks.record->fingerprint, hooks.record->seed};
+    traces_.emplace(key, std::move(*hooks.record));
+  } else if (hooks.replay != nullptr) {
+    ++replays_;
+    if (hooks.replay->recorded_hash == 0 || trace_hash == 0) {
+      ++not_compared_;
+    } else if (trace_hash != hooks.replay->recorded_hash) {
+      ++hash_mismatches_;
+    }
+  }
 }
 
 std::vector<Trace> Session::collected() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Trace> out;
   out.reserve(traces_.size());
-  for (const auto& [key, trace] : traces_) out.push_back(*trace);
+  for (const auto& [key, trace] : traces_) out.push_back(trace);
   return out;
 }
 
@@ -86,6 +64,11 @@ std::size_t Session::replays() const {
 std::size_t Session::hash_mismatches() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return hash_mismatches_;
+}
+
+std::size_t Session::not_compared() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return not_compared_;
 }
 
 }  // namespace dynreg::replay

@@ -1,81 +1,81 @@
-// The process-wide record/replay session. harness::run_experiment consults
-// it on every no-hooks run: in record mode each run is captured and
-// committed here; in replay mode each run is driven from the trace filed
-// under its (config fingerprint, seed) key.
+// A record/replay session: the set of runs one `dynreg_exp record|replay`
+// invocation captures, respectively re-feeds. The CLI (or a test) constructs
+// one and hands it down as RunOptions::session; harness::run_grid and
+// bench::ScriptedCluster enroll each of their runs through the open/finish
+// pair below. A run made without a session pointer is a plain run — there is
+// no process-wide session.
 //
-// The session is the bridge between the CLI (`dynreg_exp record|replay`,
-// which sets the mode around a whole experiment invocation) and the runs an
-// experiment's sweep spawns — possibly thousands, possibly concurrently
-// (parallel_sweep). All entry points are thread-safe. Determinism across
-// --jobs holds because a run's trace is a pure function of (config, seed):
-// when a sweep runs identical (config, seed) replicas, whichever commits
-// first wins and the rest are byte-identical duplicates, so the collected
-// trace set is independent of scheduling.
+// Runs are keyed by (key, seed): the config fingerprint for run_grid runs,
+// replay::scenario_key for the scripted constructions. open() and finish()
+// are thread-safe, so a grid may enroll its replicas concurrently.
+// Determinism across --jobs holds because a run's trace is a pure function
+// of its (config, seed): when a grid runs identical replicas, whichever
+// commits first wins and the rest are byte-identical duplicates, so the
+// collected trace set is independent of scheduling.
 //
-// Nested replay machinery (schedule search, the minimizer) bypasses the
-// session entirely via the run_experiment(cfg, RunHooks) overload.
+// Nested replay machinery (schedule search, the minimizer) calls
+// run_experiment(cfg, RunHooks) directly and never sees a session.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "replay/hooks.h"
 #include "replay/trace.h"
 
 namespace dynreg::replay {
 
 class Session {
  public:
-  enum class Mode { kOff, kRecord, kReplay };
+  /// A recording session: every run opened under it is captured.
+  Session() = default;
 
-  static Session& instance();
+  /// A replay session over `traces`, filed by (fingerprint, seed).
+  explicit Session(std::vector<Trace> traces);
 
-  /// Enters record mode (discarding any previous state).
-  void begin_record();
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
-  /// Enters replay mode over the given traces, keyed by (fingerprint, seed).
-  void begin_replay(std::vector<Trace> traces);
+  /// Opens one run under (key, seed) and returns the hooks to run it with.
+  /// Recording: the hooks capture into `scratch` (stamped with key and
+  /// seed), which must live until finish(). Replaying: the hooks replay the
+  /// trace filed under the key; throws TraceError when there is none — a
+  /// replay that silently fell back to fresh randomness would defeat the
+  /// whole point.
+  [[nodiscard]] RunHooks open(std::uint64_t key, std::uint64_t seed,
+                              Trace& scratch) const;
 
-  /// Returns to kOff and clears all state.
-  void end();
+  /// Closes a run opened with open(), given its audit hash. Recording:
+  /// stamps the hash and commits the trace (first commit per key wins).
+  /// Replaying: compares the hash with the recorded one; when either is 0
+  /// (a side ran without DYNREG_AUDIT, or the file predates the hash) the
+  /// run counts as not compared.
+  void finish(const RunHooks& hooks, std::uint64_t trace_hash);
 
-  [[nodiscard]] Mode mode() const;
-
-  /// Record mode: files one run's trace. First commit per key wins (see
-  /// header comment); later identical commits are dropped.
-  void commit(Trace trace);
-
-  /// Replay mode: the trace for this key. Throws TraceError when the
-  /// session holds no such trace — a replay that silently fell back to
-  /// fresh randomness would defeat the whole point.
-  [[nodiscard]] std::shared_ptr<const Trace> find(std::uint64_t fingerprint,
-                                                  std::uint64_t seed) const;
-
-  /// Replay mode: tallies one completed replayed run and whether its audit
-  /// hash matched the recording (hash_match must be true when either side
-  /// ran without DYNREG_AUDIT — there is nothing to compare).
-  void note_replay(bool hash_match);
-
-  /// Snapshot of the committed traces in deterministic (fingerprint, seed)
+  /// Recording: the committed traces in deterministic (fingerprint, seed)
   /// order — what `dynreg_exp record` serializes.
   [[nodiscard]] std::vector<Trace> collected() const;
 
+  /// Replaying: finished runs, and how many of them had a mismatched
+  /// respectively an uncompared audit hash.
   [[nodiscard]] std::size_t replays() const;
   [[nodiscard]] std::size_t hash_mismatches() const;
+  [[nodiscard]] std::size_t not_compared() const;
 
  private:
-  Session() = default;
-
   using Key = std::pair<std::uint64_t, std::uint64_t>;  // (fingerprint, seed)
 
+  const bool replaying_ = false;
   mutable std::mutex mutex_;
-  Mode mode_ = Mode::kOff;
-  std::map<Key, std::shared_ptr<const Trace>> traces_;
+  // Replaying, this is filled by the constructor and only read after, so
+  // open() looks traces up without the lock.
+  std::map<Key, Trace> traces_;
   std::size_t replays_ = 0;
   std::size_t hash_mismatches_ = 0;
+  std::size_t not_compared_ = 0;
 };
 
 }  // namespace dynreg::replay

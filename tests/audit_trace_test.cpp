@@ -66,8 +66,8 @@ TEST(AuditTrace, DifferentSeedsDiverge) {
 TEST(AuditTrace, HashIndependentOfWorkerCount) {
   const auto cfg = es_churn_config();
   constexpr std::size_t kSeeds = 6;
-  const auto serial = run_replicas(cfg, kSeeds, 1);
-  const auto parallel = run_replicas(cfg, kSeeds, 8);
+  const auto serial = run_grid({cfg}, kSeeds, 1, nullptr)[0];
+  const auto parallel = run_grid({cfg}, kSeeds, 8, nullptr)[0];
   ASSERT_EQ(serial.size(), kSeeds);
   ASSERT_EQ(parallel.size(), kSeeds);
   for (std::size_t i = 0; i < kSeeds; ++i) {
@@ -84,16 +84,15 @@ TEST(AuditTrace, SweepHashesIndependentOfWorkerCount) {
   const auto base = es_churn_config();
   const std::vector<double> rates = {0.0, base.es_churn_threshold(),
                                      2 * base.es_churn_threshold()};
-  const auto configure = [](ExperimentConfig& cfg, double rate) {
-    cfg.churn_rate = rate;
-  };
-  const auto serial = parallel_sweep(base, rates, configure, 3, 1);
-  const auto parallel = parallel_sweep(base, rates, configure, 3, 8);
+  const auto cells =
+      vary(base, rates, [](ExperimentConfig& cfg, double rate) { cfg.churn_rate = rate; });
+  const auto serial = run_grid(cells, 3, 1, nullptr);
+  const auto parallel = run_grid(cells, 3, 8, nullptr);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t p = 0; p < serial.size(); ++p) {
-    ASSERT_EQ(serial[p].runs.size(), parallel[p].runs.size());
-    for (std::size_t r = 0; r < serial[p].runs.size(); ++r) {
-      EXPECT_EQ(serial[p].runs[r].trace_hash, parallel[p].runs[r].trace_hash)
+    ASSERT_EQ(serial[p].size(), parallel[p].size());
+    for (std::size_t r = 0; r < serial[p].size(); ++r) {
+      EXPECT_EQ(serial[p][r].trace_hash, parallel[p][r].trace_hash)
           << "point " << p << " replica " << r;
     }
   }

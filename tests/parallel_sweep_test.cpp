@@ -1,10 +1,11 @@
-// The seed-parallel sweep engine: worker-count independence (the
+// The seed-parallel replica grid: worker-count independence (the
 // determinism contract), the cross-seed aggregates, and the rule that
 // violation counts are never silently averaged away.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/aggregate.h"
@@ -100,17 +101,15 @@ ExperimentConfig cheap_config() {
   return cfg;
 }
 
-/// Serializes every aggregate field of every point — any nondeterminism
+/// Serializes every aggregate field of every cell — any nondeterminism
 /// (scheduling-dependent result placement, float accumulation order) shows
 /// up as a byte difference.
-std::string serialize(const std::vector<SweepPoint>& points) {
+std::string serialize(const std::vector<std::vector<MetricsReport>>& grid) {
   stats::JsonWriter w;
   w.begin_array();
-  for (const auto& p : points) {
-    const AggregatedMetrics m = p.aggregate();
+  for (const auto& runs : grid) {
+    const AggregatedMetrics m = aggregate_metrics(runs);
     w.begin_object();
-    w.key("x");
-    w.value(p.x);
     w.key("seeds");
     w.value(static_cast<std::uint64_t>(m.seeds));
     const std::vector<std::pair<const char*, Aggregate>> metrics{
@@ -140,31 +139,45 @@ std::string serialize(const std::vector<SweepPoint>& points) {
   return w.str();
 }
 
-TEST(ParallelSweep, OutputIndependentOfWorkerCount) {
-  const ExperimentConfig base = cheap_config();
-  const std::vector<double> xs{0.0, 0.01, 0.03};
-  const auto configure = [](ExperimentConfig& cfg, double c) { cfg.churn_rate = c; };
+TEST(RunGrid, OutputIndependentOfWorkerCount) {
+  const auto cells = vary(cheap_config(), {0.0, 0.01, 0.03},
+                          [](ExperimentConfig& cfg, double c) { cfg.churn_rate = c; });
 
-  const auto serial = parallel_sweep(base, xs, configure, /*seeds=*/4, /*jobs=*/1);
-  const auto parallel = parallel_sweep(base, xs, configure, /*seeds=*/4, /*jobs=*/8);
+  const auto serial = run_grid(cells, /*seeds=*/4, /*jobs=*/1, nullptr);
+  const auto parallel = run_grid(cells, /*seeds=*/4, /*jobs=*/8, nullptr);
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
-TEST(ParallelSweep, ReplicaSeedsMatchHistoricalDerivation) {
+TEST(RunGrid, ReplicaSeedsMatchHistoricalDerivation) {
   EXPECT_EQ(replica_seed(1, 0), 1u + 1009u);
   EXPECT_EQ(replica_seed(1, 2), 1u + 3 * 1009u);
 }
 
-TEST(RunReplicas, SeedOrderIsStable) {
-  const ExperimentConfig base = cheap_config();
-  const auto serial = run_replicas(base, 4, /*jobs=*/1);
-  const auto pooled = run_replicas(base, 4, /*jobs=*/4);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].reads_completed, pooled[i].reads_completed) << i;
-    EXPECT_EQ(serial[i].writes_completed, pooled[i].writes_completed) << i;
-    EXPECT_DOUBLE_EQ(serial[i].read_latency_mean, pooled[i].read_latency_mean) << i;
+TEST(RunGrid, SeedOrderIsStable) {
+  const std::vector<ExperimentConfig> cells{cheap_config()};
+  const auto serial = run_grid(cells, 4, /*jobs=*/1, nullptr);
+  const auto pooled = run_grid(cells, 4, /*jobs=*/4, nullptr);
+  ASSERT_EQ(serial.size(), 1u);
+  ASSERT_EQ(serial[0].size(), pooled[0].size());
+  for (std::size_t i = 0; i < serial[0].size(); ++i) {
+    EXPECT_EQ(serial[0][i].reads_completed, pooled[0][i].reads_completed) << i;
+    EXPECT_EQ(serial[0][i].writes_completed, pooled[0][i].writes_completed) << i;
+    EXPECT_DOUBLE_EQ(serial[0][i].read_latency_mean, pooled[0][i].read_latency_mean) << i;
   }
+}
+
+TEST(RunGrid, ReplicaRunsAtItsCellsReplicaSeed) {
+  ExperimentConfig cell = cheap_config();
+  cell.seed = 77;
+  const auto grid = run_grid({cell}, 2, /*jobs=*/1, nullptr);
+  cell.seed = replica_seed(77, 1);
+  const MetricsReport direct = run_experiment(cell);
+  EXPECT_EQ(grid[0][1].trace_hash, direct.trace_hash);
+  EXPECT_EQ(grid[0][1].reads_completed, direct.reads_completed);
+}
+
+TEST(RunGrid, RejectsZeroSeeds) {
+  EXPECT_THROW(run_grid({cheap_config()}, 0, /*jobs=*/1, nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "emit.h"
 #include "harness/experiment.h"
+#include "harness/sweep.h"
 #include "registry.h"
 #include "replay/session.h"
 #include "replay/trace_io.h"
@@ -24,32 +26,34 @@ struct Recorded {
 };
 
 Recorded record(const Experiment& e, std::size_t jobs) {
+  replay::Session session;
   RunOptions opts;
   opts.seeds = 1;  // one replica per point keeps the full sweep affordable
   opts.max_n = 100;  // caps the scaling experiments' (E15/E16) n grids too
   opts.jobs = jobs;
-  replay::Session& session = replay::Session::instance();
-  session.begin_record();
+  opts.session = &session;
   const ExperimentResult result = e.run(opts);
   Recorded rec;
   rec.json = to_json(e, 1, result);
   rec.file.experiment = e.name;
   rec.file.seeds = {1};
   rec.file.traces = session.collected();
-  session.end();
   return rec;
 }
 
 std::string replay_from(const Experiment& e, replay::TraceFile file, std::size_t jobs) {
+  replay::Session session(std::move(file.traces));
   RunOptions opts;
   opts.seeds = 1;
   opts.max_n = 100;
   opts.jobs = jobs;
-  replay::Session& session = replay::Session::instance();
-  session.begin_replay(std::move(file.traces));
+  opts.session = &session;
   const ExperimentResult result = e.run(opts);
   EXPECT_EQ(session.hash_mismatches(), 0u) << e.name;
-  session.end();
+#ifdef DYNREG_AUDIT
+  // Both sides carry the auditor, so every replayed run was really compared.
+  EXPECT_EQ(session.not_compared(), 0u) << e.name;
+#endif
   return to_json(e, 1, result);
 }
 
@@ -61,8 +65,8 @@ TEST(ReplayRoundTrip, EveryExperimentRecordsAndReplaysByteIdentically) {
     // Serialize through the real file format — the replay consumes exactly
     // the bytes a `dynreg_exp record` artifact would hold.
     replay::TraceFile decoded = replay::decode(replay::encode(rec.file));
-    // E14 drives its runs through the hooks overload (session-bypassing by
-    // design: its searches must not pollute the recording); every other
+    // E14 drives its runs through the hooks overload (no session by design:
+    // its searches must not pollute the recording); every other
     // experiment's runs must show up in the session.
     if (e->name != "threshold_search") {
       EXPECT_FALSE(decoded.traces.empty()) << e->name;
@@ -188,6 +192,53 @@ TEST(ReplayRoundTrip, ScriptedScenarioExperimentsEnrollInTheSession) {
         replay_from(*e, replay::decode(replay::encode(rec.file)), /*jobs=*/1);
     EXPECT_EQ(replayed, rec.json);
   }
+}
+
+TEST(ReplayRoundTrip, SessionsAreIsolated) {
+  // Two sessions recording two experiments on two threads at once each
+  // collect exactly what a solo recording collects, and a plain run made
+  // meanwhile is captured by neither.
+  const Experiment* e4 = ExperimentRegistry::instance().find("es_churn_sweep");
+  const Experiment* e3 = ExperimentRegistry::instance().find("sync_churn_sweep");
+  ASSERT_NE(e4, nullptr);
+  ASSERT_NE(e3, nullptr);
+  const auto solo_e4 = replay::encode(record(*e4, /*jobs=*/1).file);
+  const auto solo_e3 = replay::encode(record(*e3, /*jobs=*/1).file);
+
+  Recorded both_e4;
+  Recorded both_e3;
+  std::thread t4([&] { both_e4 = record(*e4, /*jobs=*/1); });
+  std::thread t3([&] { both_e3 = record(*e3, /*jobs=*/1); });
+  harness::ExperimentConfig plain;
+  plain.n = 6;
+  plain.duration = 200;
+  const harness::MetricsReport report = harness::run_experiment(plain);
+  t4.join();
+  t3.join();
+
+  EXPECT_GT(report.reads_completed, 0u);
+  EXPECT_EQ(replay::encode(both_e4.file), solo_e4);
+  EXPECT_EQ(replay::encode(both_e3.file), solo_e3);
+}
+
+TEST(ReplayRoundTrip, ReplayCountsUncomparedHashes) {
+  // A trace whose recorded hash is 0 (a file from before the hash, or a
+  // recording without DYNREG_AUDIT) replays, but its hash is not compared —
+  // the summary must say so instead of counting it as a match.
+  harness::ExperimentConfig cfg;
+  cfg.n = 6;
+  cfg.duration = 200;
+  replay::Session recording;
+  (void)harness::run_grid({cfg}, 1, /*jobs=*/1, &recording);
+  std::vector<replay::Trace> traces = recording.collected();
+  ASSERT_EQ(traces.size(), 1u);
+  traces[0].recorded_hash = 0;
+
+  replay::Session replaying(std::move(traces));
+  (void)harness::run_grid({cfg}, 1, /*jobs=*/1, &replaying);
+  EXPECT_EQ(replaying.replays(), 1u);
+  EXPECT_EQ(replaying.hash_mismatches(), 0u);
+  EXPECT_EQ(replaying.not_compared(), 1u);
 }
 
 }  // namespace
