@@ -1,6 +1,6 @@
 // M1 — substrate microbenchmarks (google-benchmark): event-queue
-// throughput, network dispatch, consistency checking, and a full
-// experiment run as an end-to-end figure of merit.
+// throughput, network dispatch (broadcast and point-to-point), consistency
+// checking, and a full experiment run as an end-to-end figure of merit.
 //
 // This binary measures wall-clock performance, not paper claims, so it
 // lives outside the ExperimentRegistry / dynreg_exp CLI (its driver is
@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "consistency/regularity_checker.h"
+#include "dynreg/messages.h"
 #include "harness/experiment.h"
 #include "net/delay_model.h"
 #include "net/network.h"
@@ -120,6 +121,33 @@ void BM_NetworkBroadcastSyncDelay(benchmark::State& state) {
   run_broadcasts(state, [] { return std::make_unique<net::SynchronousDelay>(3); });
 }
 BENCHMARK(BM_NetworkBroadcastSyncDelay)->Arg(100)->Arg(1000)->Arg(10000);
+
+// Point-to-point send plus delivery of the paper's join REPLY (SyncReply)
+// through FixedDelay(1), batches of 1000 copies stepped to the end. items/s
+// counts delivered copies; bytes_per_message is the message each delivery
+// event carries by value; arena_chunks counts the arena chunks the whole run
+// created, which stays 0 because a point-to-point message never touches the
+// arena.
+void BM_NetworkSendReply(benchmark::State& state) {
+  constexpr std::uint32_t kBatch = 1000;
+  sim::Simulation sim(1);
+  net::Network network(sim, std::make_unique<net::FixedDelay>(1));
+  Value sum = 0;
+  network.attach(1, [&sum](sim::ProcessId, const net::Payload& p) {
+    sum += static_cast<const msg::SyncReply&>(p).value;
+  });
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      network.send(0, 1, msg::SyncReply(Timestamp{i, 0}, static_cast<Value>(i), true));
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
+  state.counters["bytes_per_message"] = static_cast<double>(sizeof(msg::SyncReply));
+  state.counters["arena_chunks"] = static_cast<double>(sim.arena().chunks_created());
+}
+BENCHMARK(BM_NetworkSendReply);
 
 void BM_RegularityChecker(benchmark::State& state) {
   const auto reads = static_cast<std::size_t>(state.range(0));

@@ -29,7 +29,7 @@ import time
 
 
 # User counters bench_micro reports next to the timings; recorded verbatim.
-COUNTERS = ("events_per_broadcast",)
+COUNTERS = ("events_per_broadcast", "bytes_per_message", "arena_chunks")
 
 
 def run_google_benchmark(bench, min_time, repetitions):

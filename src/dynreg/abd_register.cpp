@@ -106,7 +106,7 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
   if (type == msg::AbdReadQuery::kTypeId) {
     if (!replica_) return;
     const auto& m = static_cast<const msg::AbdReadQuery&>(payload);
-    ctx_.send(from, ctx_.make_payload<msg::AbdReadReply>(m.rid, ts_, value_));
+    ctx_.send(from, msg::AbdReadReply(m.rid, ts_, value_));
   } else if (type == msg::AbdReadReply::kTypeId) {
     const auto& m = static_cast<const msg::AbdReadReply&>(payload);
     const auto it = reads_.find(m.rid);
@@ -123,7 +123,7 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     if (!replica_) return;
     const auto& m = static_cast<const msg::AbdWriteback&>(payload);
     apply(m.ts, m.value);
-    ctx_.send(from, ctx_.make_payload<msg::AbdWritebackAck>(m.rid));
+    ctx_.send(from, msg::AbdWritebackAck(m.rid));
   } else if (type == msg::AbdWritebackAck::kTypeId) {
     const auto& m = static_cast<const msg::AbdWritebackAck&>(payload);
     const auto it = reads_.find(m.rid);
@@ -134,7 +134,7 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     if (!replica_) return;
     const auto& m = static_cast<const msg::AbdUpdate&>(payload);
     apply(m.ts, m.value);
-    ctx_.send(from, ctx_.make_payload<msg::AbdUpdateAck>(m.wid));
+    ctx_.send(from, msg::AbdUpdateAck(m.wid));
   } else if (type == msg::AbdUpdateAck::kTypeId) {
     const auto& m = static_cast<const msg::AbdUpdateAck&>(payload);
     const auto it = writes_.find(m.wid);

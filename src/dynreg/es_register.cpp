@@ -173,7 +173,7 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     const auto& m = static_cast<const msg::EsWrite&>(payload);
     if (rejects_envelope(m.ts, true)) return;  // forged-timestamp guard: no store, no ack
     apply(m.ts, m.value);
-    ctx_.send(from, ctx_.make_payload<msg::EsAck>(m.wid));
+    ctx_.send(from, msg::EsAck(m.wid));
   } else if (type == msg::EsAck::kTypeId) {
     const auto& m = static_cast<const msg::EsAck&>(payload);
     const auto it = writes_.find(m.wid);
@@ -183,17 +183,18 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
   } else if (type == msg::EsRead::kTypeId) {
     const auto& m = static_cast<const msg::EsRead&>(payload);
     if (active_) {
-      ctx_.send(from, ctx_.make_payload<msg::EsReply>(m.rid, ts_, value_, has_value_));
+      ctx_.send(from, msg::EsReply(m.rid, ts_, value_, has_value_));
     }
   } else if (type == msg::EsReply::kTypeId) {
     const auto& m = static_cast<const msg::EsReply&>(payload);
-    if (rejects_envelope(m.ts, m.has_value)) return;  // malformed/out-of-envelope reply
+    const Timestamp ts = m.ts();
+    if (rejects_envelope(ts, m.has_value)) return;  // malformed/out-of-envelope reply
     const auto it = reads_.find(m.rid);
     if (it == reads_.end() || it->second.in_writeback) return;
     PendingRead& r = it->second;
     r.repliers.insert(from);
-    if (m.has_value && (!r.has_value || r.best_ts < m.ts)) {
-      r.best_ts = m.ts;
+    if (m.has_value && (!r.has_value || r.best_ts < ts)) {
+      r.best_ts = ts;
       r.best_value = m.value;
       r.has_value = true;
     }
@@ -201,16 +202,16 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
   } else if (type == msg::EsJoin::kTypeId) {
     const auto& m = static_cast<const msg::EsJoin&>(payload);
     if (active_) {
-      ctx_.send(from,
-                ctx_.make_payload<msg::EsJoinReply>(m.jid, ts_, value_, has_value_));
+      ctx_.send(from, msg::EsJoinReply(m.jid, ts_, value_, has_value_));
     }
   } else if (type == msg::EsJoinReply::kTypeId) {
     const auto& m = static_cast<const msg::EsJoinReply&>(payload);
-    if (rejects_envelope(m.ts, m.has_value)) return;  // malformed/out-of-envelope reply
+    const Timestamp ts = m.ts();
+    if (rejects_envelope(ts, m.has_value)) return;  // malformed/out-of-envelope reply
     if (!join_pending_ || m.jid != join_id_) return;
     join_repliers_.insert(from);
-    if (m.has_value && (!join_has_value_ || join_best_ts_ < m.ts)) {
-      join_best_ts_ = m.ts;
+    if (m.has_value && (!join_has_value_ || join_best_ts_ < ts)) {
+      join_best_ts_ = ts;
       join_best_value_ = m.value;
       join_has_value_ = true;
     }

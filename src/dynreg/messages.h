@@ -1,6 +1,11 @@
 // Wire messages of the three protocols. Type tags are part of the contract:
 // adversarial delay models and the per-type traffic metrics match on them.
 //
+// Broadcast messages are built once in the simulation's arena and shared by
+// every copy; the point-to-point replies and acks travel by value inside
+// their delivery event (net::Network::send), which is why none of them may
+// exceed 40 bytes.
+//
 // Every message type carries a cached interned PayloadTypeId (kTypeId) so
 // per-delivery code — receiver dispatch, delay-model scripts, metrics —
 // compares small integers instead of strings. The ids are interned in one
@@ -63,15 +68,20 @@ struct EsRead final : net::Payload {
   std::uint64_t rid;
 };
 
+/// The timestamp is stored flat (sn, writer) so the writer id and the flag
+/// share one word: 40 bytes, which keeps the by-value delivery event inside
+/// the scheduler's inline budget (net/network.h).
 struct EsReply final : net::Payload {
   EsReply(std::uint64_t r, Timestamp t, Value v, bool hv)
-      : rid(r), ts(t), value(v), has_value(hv) {}
+      : rid(r), sn(t.sn), value(v), writer(t.writer), has_value(hv) {}
   std::string_view type_name() const override { return "es.reply"; }
   net::PayloadTypeId type_id() const override { return kTypeId; }
   static const net::PayloadTypeId kTypeId;
+  [[nodiscard]] Timestamp ts() const { return {sn, writer}; }
   std::uint64_t rid;
-  Timestamp ts;
+  std::uint64_t sn;
   Value value;
+  std::uint32_t writer;
   bool has_value;
 };
 
@@ -101,15 +111,18 @@ struct EsJoin final : net::Payload {
   std::uint64_t jid;
 };
 
+/// Flat timestamp for the same reason as EsReply: 40 bytes.
 struct EsJoinReply final : net::Payload {
   EsJoinReply(std::uint64_t j, Timestamp t, Value v, bool hv)
-      : jid(j), ts(t), value(v), has_value(hv) {}
+      : jid(j), sn(t.sn), value(v), writer(t.writer), has_value(hv) {}
   std::string_view type_name() const override { return "es.join_reply"; }
   net::PayloadTypeId type_id() const override { return kTypeId; }
   static const net::PayloadTypeId kTypeId;
+  [[nodiscard]] Timestamp ts() const { return {sn, writer}; }
   std::uint64_t jid;
-  Timestamp ts;
+  std::uint64_t sn;
   Value value;
+  std::uint32_t writer;
   bool has_value;
 };
 

@@ -44,7 +44,7 @@ void SyncRegisterNode::finish_join() {
   ctx_.notify_active();
   // Answer inquiries that arrived while we were still joining.
   for (const sim::ProcessId j : pending_inquiries_) {
-    ctx_.send(j, ctx_.make_payload<msg::SyncReply>(ts_, value_, has_value_));
+    ctx_.send(j, msg::SyncReply(ts_, value_, has_value_));
   }
   pending_inquiries_.clear();
   schedule_refresh();
@@ -84,7 +84,7 @@ void SyncRegisterNode::on_message(sim::ProcessId from, const net::Payload& paylo
     if (joining_ && m.has_value) apply(m.ts, m.value);
   } else if (type == msg::SyncInquiry::kTypeId) {
     if (active_) {
-      ctx_.send(from, ctx_.make_payload<msg::SyncReply>(ts_, value_, has_value_));
+      ctx_.send(from, msg::SyncReply(ts_, value_, has_value_));
     } else {
       pending_inquiries_.push_back(from);
     }

@@ -46,11 +46,11 @@ ValueView view_of(const net::Payload& p) {
   }
   if (type == msg::EsReply::kTypeId) {
     const auto& m = static_cast<const msg::EsReply&>(p);
-    return {m.ts, m.value, m.has_value};
+    return {m.ts(), m.value, m.has_value};
   }
   if (type == msg::EsJoinReply::kTypeId) {
     const auto& m = static_cast<const msg::EsJoinReply&>(p);
-    return {m.ts, m.value, m.has_value};
+    return {m.ts(), m.value, m.has_value};
   }
   if (type == msg::AbdReadReply::kTypeId) {
     const auto& m = static_cast<const msg::AbdReadReply&>(p);
@@ -238,9 +238,9 @@ bool Injector::link_cut(sim::Time /*now*/, sim::ProcessId from,
 
 net::PayloadPtr Injector::transform(sim::Time now, sim::ProcessId from,
                                     sim::ProcessId to,
-                                    const net::PayloadPtr& payload) {
+                                    const net::Payload& payload) {
   if (!plan_.byzantine_enabled()) return nullptr;
-  const ValueView v = view_of(*payload);
+  const ValueView v = view_of(payload);
   if (!v.carries) return nullptr;
   // Stash the earliest (ts, value) the wire carried — fuel for the
   // stale-replay transform. A pure observation: no decision draw.
@@ -253,7 +253,7 @@ net::PayloadPtr Injector::transform(sim::Time now, sim::ProcessId from,
   if (!decisions_.bernoulli(now, plan_.byzantine.transform_rate)) {
     return nullptr;
   }
-  return transform_copy(decisions_.draw(now), from, to, *payload);
+  return transform_copy(decisions_.draw(now), from, to, payload);
 }
 
 net::PayloadPtr Injector::transform_copy(std::uint64_t word,

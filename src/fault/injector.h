@@ -51,7 +51,7 @@ class Injector final : public net::FaultHook {
   bool link_cut(sim::Time now, sim::ProcessId from, sim::ProcessId to) override;
   net::PayloadPtr transform(sim::Time now, sim::ProcessId from,
                             sim::ProcessId to,
-                            const net::PayloadPtr& payload) override;
+                            const net::Payload& payload) override;
 
   struct Stats {
     std::uint64_t crashes = 0;     // crash-stop + crash-recovery events

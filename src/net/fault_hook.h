@@ -34,9 +34,12 @@ class FaultHook {
 
   /// Called once per delivered copy. Returns the payload the handler should
   /// observe instead, or nullptr to deliver the original untouched. `from`
-  /// is the logical sender the handler will see.
+  /// is the logical sender the handler will see. `payload` may live inside
+  /// the delivery event itself (point-to-point messages travel by value), so
+  /// it is only valid for the call; a replacement is a fresh payload, built
+  /// in the simulation's arena by the injector.
   virtual PayloadPtr transform(sim::Time now, sim::ProcessId from,
-                               sim::ProcessId to, const PayloadPtr& payload) = 0;
+                               sim::ProcessId to, const Payload& payload) = 0;
 };
 
 }  // namespace dynreg::net

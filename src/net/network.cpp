@@ -51,11 +51,6 @@ struct ArenaFree {
 
 }  // namespace
 
-void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
-  const sim::Duration d = draw_fate(from, to, *payload);
-  if (d != 0) schedule_delivery(from, to, std::move(payload), d);
-}
-
 void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
   // A broadcast addresses the membership at send time. The fan-out only
   // schedules future deliveries (it never runs handlers synchronously), so
@@ -110,15 +105,21 @@ void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
     survivors_.swap(sorted_);
   }
 
-  // Queue one event per arrival tick; a lone copy takes the point-to-point
-  // closure and needs no recipient span. Every batch owns its own span, so
-  // a handler that broadcasts from inside a batch never touches this one's.
+  // Queue one event per arrival tick; a lone copy takes a one-recipient
+  // closure over the shared payload and needs no recipient span. Every batch
+  // owns its own span, so a handler that broadcasts from inside a batch
+  // never touches this one's.
   const std::size_t n = survivors_.size();
   for (std::size_t i = 0; i < n;) {
     std::size_t j = i + 1;
     while (j < n && survivors_[j].delay == survivors_[i].delay) ++j;
     if (j - i == 1) {
-      schedule_delivery(from, survivors_[i].to, payload, survivors_[i].delay);
+      auto deliver_one = [this, from, to = survivors_[i].to, payload] {
+        deliver(from, to, *payload);
+      };
+      static_assert(sizeof(deliver_one) <= sim::InlineTask::kInlineCapacity,
+                    "lone broadcast copy must stay inline — see sim/inline_task.h");
+      sim_.schedule_after(survivors_[i].delay, std::move(deliver_one));
     } else {
       const auto count = static_cast<std::uint32_t>(j - i);
       sim::Arena& arena = sim_.arena();
@@ -128,7 +129,7 @@ void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
           ArenaFree{&arena});
       for (std::uint32_t k = 0; k < count; ++k) to[k] = survivors_[i + k].to;
       auto deliver_batch = [this, from, count, payload, to = std::move(to)] {
-        for (std::uint32_t k = 0; k < count; ++k) deliver(from, to[k], payload);
+        for (std::uint32_t k = 0; k < count; ++k) deliver(from, to[k], *payload);
       };
       static_assert(sizeof(deliver_batch) <= sim::InlineTask::kInlineCapacity,
                     "batch delivery event must stay inline — see sim/inline_task.h");
@@ -157,19 +158,7 @@ sim::Duration Network::draw_fate(sim::ProcessId from, sim::ProcessId to,
   return verdict.delay < 1 ? 1 : verdict.delay;
 }
 
-void Network::schedule_delivery(sim::ProcessId from, sim::ProcessId to,
-                                PayloadPtr payload, sim::Duration delay) {
-  auto deliver_one = [this, from, to, payload = std::move(payload)] {
-    deliver(from, to, payload);
-  };
-  // Every point-to-point copy (each protocol reply) is one of these events;
-  // the closure must never outgrow the scheduler's inline capture budget.
-  static_assert(sizeof(deliver_one) <= sim::InlineTask::kInlineCapacity,
-                "delivery closure must stay inline — see sim/inline_task.h");
-  sim_.schedule_after(delay, std::move(deliver_one));
-}
-
-void Network::deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload) {
+void Network::deliver(sim::ProcessId from, sim::ProcessId to, const Payload& payload) {
   if (to >= slots_.size() || !slots_[to].attached) {
     ++stats_.dropped_departed;  // receiver departed while the copy was in flight
     return;
@@ -177,7 +166,7 @@ void Network::deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& 
   ++stats_.delivered;
   // Byzantine transforms rewrite the copy at delivery time; the hook is
   // reached through `this`, so the delivery events stay inline.
-  const Payload* observed = payload.get();
+  const Payload* observed = &payload;
   PayloadPtr replacement;
   if (fault_hook_ != nullptr) {
     replacement = fault_hook_->transform(sim_.now(), from, to, payload);

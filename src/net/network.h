@@ -20,6 +20,16 @@
 // copies of one broadcast that land on one tick would have held adjacent
 // FIFO slots anyway: the batch reproduces per-copy delivery exactly, with
 // the drop-on-departure check still made per recipient at delivery time.
+//
+// Point-to-point messages travel by value: send() copies the message into
+// its delivery event, next to {this, from, to}, and the delivery body runs
+// on it where it sits in the event slot. A reply therefore costs no arena
+// allocation, no shared_ptr control block and no atomic refcount; only a
+// broadcast builds its payload once (in the arena) and shares it between
+// its copies. Every message sent this way must fit the scheduler's inline
+// budget with those 16 bytes beside it (40 bytes; a static_assert in send
+// guards it).
+//
 // Per-delivery metrics are keyed on interned PayloadTypeId tags; the
 // string-keyed view is materialized only on demand.
 #pragma once
@@ -28,6 +38,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/delay_model.h"
@@ -68,7 +80,21 @@ class Network {
     return id < slots_.size() ? slots_[id].generation : 0;
   }
 
-  void send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload);
+  /// Sends one copy of `msg` to `to`, carried by value inside its delivery
+  /// event (see file comment). T is a concrete Payload type.
+  template <class T>
+  void send(sim::ProcessId from, sim::ProcessId to, const T& msg) {
+    static_assert(std::is_base_of_v<Payload, T> && std::is_final_v<T>,
+                  "send() copies a concrete message type by value");
+    const sim::Duration d = draw_fate(from, to, msg);
+    if (d == 0) return;
+    auto deliver_one = [this, from, to, msg] { deliver(from, to, msg); };
+    // Every point-to-point copy (each protocol reply) is one of these events;
+    // the closure must never outgrow the scheduler's inline capture budget.
+    static_assert(sizeof(deliver_one) <= sim::InlineTask::kInlineCapacity,
+                  "delivery closure must stay inline — see sim/inline_task.h");
+    sim_.schedule_after(d, std::move(deliver_one));
+  }
 
   /// Sends one copy to every currently attached process except `from`,
   /// queued as one event per arrival tick (see file comment).
@@ -117,12 +143,10 @@ class Network {
   /// (>= 1), or 0 when the copy was cut or lost.
   sim::Duration draw_fate(sim::ProcessId from, sim::ProcessId to,
                           const Payload& payload);
-  /// Queues one copy as its own event.
-  void schedule_delivery(sim::ProcessId from, sim::ProcessId to,
-                         PayloadPtr payload, sim::Duration delay);
-  /// One copy's delivery body, run by single-copy and batch events alike:
-  /// departure check, fault transform, per-type counter, audit note, handler.
-  void deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload);
+  /// One copy's delivery body, run by point-to-point, lone broadcast and
+  /// batch events alike: departure check, fault transform, per-type counter,
+  /// audit note, handler.
+  void deliver(sim::ProcessId from, sim::ProcessId to, const Payload& payload);
 
   sim::Simulation& sim_;
   std::unique_ptr<DelayModel> delays_;

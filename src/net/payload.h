@@ -1,5 +1,13 @@
-// Message payloads. Payloads are immutable and shared between the deliveries
-// of one broadcast; receivers downcast after checking type_id()/type_name().
+// Message payloads; receivers downcast after checking type_id()/type_name().
+//
+// Where a payload lives depends on how it travels:
+//  - a point-to-point message is a plain value, copied into its delivery
+//    event by Network::send (no PayloadPtr, no arena, no refcount);
+//  - a broadcast payload is immutable and shared between the deliveries of
+//    one broadcast through a PayloadPtr, built in the simulation's arena
+//    (make_payload_in) by protocol nodes, on the heap (make_payload) by
+//    tests and benchmarks;
+//  - a FaultHook's replacement payload is a PayloadPtr built in the arena.
 #pragma once
 
 #include <memory>
@@ -37,7 +45,8 @@ PayloadPtr make_payload(Args&&... args) {
 
 /// Arena-backed payload: object + shared_ptr control block live in one
 /// bump-allocated span, recycled an epoch after the last reference drops.
-/// Protocol nodes reach this through node::Context::make_payload.
+/// Protocol nodes reach this through node::Context::make_payload for their
+/// broadcasts; the fault injector builds its replacements with it.
 template <typename T, typename... Args>
 PayloadPtr make_payload_in(sim::Arena& arena, Args&&... args) {
   return std::allocate_shared<T>(sim::ArenaAllocator<T>(arena),

@@ -4,6 +4,11 @@
 // guards scheduled callbacks with a liveness token so that a timer set by a
 // node that has since been churned out fires into nothing instead of into
 // freed memory.
+//
+// Messages leave a node two ways: send() hands a point-to-point message to
+// the network by value (it is copied into its delivery event), while
+// broadcast() takes a payload built once with make_payload, in the
+// simulation's arena, and shared by every copy.
 #pragma once
 
 #include <memory>
@@ -40,12 +45,17 @@ class Context {
     });
   }
 
-  void send(sim::ProcessId to, net::PayloadPtr payload) {
-    net_.send(id_, to, std::move(payload));
+  /// Sends `msg` to one process. The message travels by value inside its
+  /// delivery event (net/network.h), so a reply or ack is a plain value —
+  /// no make_payload, no arena, no refcount.
+  template <typename T>
+  void send(sim::ProcessId to, const T& msg) {
+    net_.send(id_, to, msg);
   }
 
-  /// Builds a payload in the simulation's epoch arena (the hot-path
-  /// replacement for net::make_payload's per-message heap allocation).
+  /// Builds a broadcast payload in the simulation's epoch arena, shared by
+  /// every copy of the broadcast (the hot-path replacement for
+  /// net::make_payload's per-message heap allocation).
   template <typename T, typename... Args>
   net::PayloadPtr make_payload(Args&&... args) {
     return net::make_payload_in<T>(sim_.arena(), std::forward<Args>(args)...);

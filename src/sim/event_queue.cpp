@@ -97,6 +97,7 @@ SlabCache& slab_cache() {
 }  // namespace
 
 EventQueue::TaskPool::Slab::Slab() {
+  static_assert(sizeof(InlineTask) == 64, "one task per 64-byte cache line");
   static_assert(std::size_t{kSlabSize} * sizeof(InlineTask) == kSlabBytes,
                 "slab region holds exactly kSlabSize one-line tasks");
   auto& cache = slab_cache().regions;

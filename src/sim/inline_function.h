@@ -10,10 +10,17 @@
 // typically 16-byte) small buffer, which made every scheduled message
 // delivery — and every pending operation — an allocation. InlineFunction
 // stores captures up to kInlineCapacity bytes directly inside the object and
-// only falls back to the heap for oversized captures; none of the library's
-// own lambdas need the fallback (static_asserts on the Network's delivery
-// events — point-to-point and batched broadcast — guard the hottest ones,
-// and the InlineTask tests pin the boundary).
+// only falls back to the heap for oversized (or over-aligned) captures; none
+// of the library's own lambdas need the fallback (static_asserts on the
+// Network's delivery events — point-to-point and batched broadcast — guard
+// the hottest ones, and the InlineTask tests pin the boundary).
+//
+// The budget is 56 bytes, up from 48: pointer-aligned storage reclaims the
+// padding that max_align_t alignment left after the vtable pointer, so the
+// object stays one cache line. The extra word is what lets a point-to-point
+// message travel by value inside its delivery event — {network, from, to}
+// is 16 bytes and the largest reply 40 — instead of behind an arena-built
+// shared_ptr.
 //
 // The type is deliberately minimal: construct from a callable, move, invoke,
 // destroy. No copy, no target introspection, no allocator awareness — it
@@ -35,9 +42,14 @@ template <typename R, typename... Args>
 class InlineFunction<R(Args...)> {
  public:
   /// In-place capture budget, chosen so sizeof(InlineFunction) is exactly
-  /// one 64-byte cache line (vtable pointer + storage). 48 bytes fits every
-  /// scheduler and completion lambda in the library.
-  static constexpr std::size_t kInlineCapacity = 48;
+  /// one 64-byte cache line (vtable pointer + storage). The storage is
+  /// aligned to a pointer, not to max_align_t, so the 8 bytes that 16-byte
+  /// alignment left as padding after the vtable pointer belong to the
+  /// budget: 56 bytes holds a point-to-point delivery closure carrying its
+  /// message by value ({network, from, to} plus a 40-byte message), as well
+  /// as every other scheduler and completion lambda in the library.
+  /// Captures aligned to more than a pointer take the heap fallback.
+  static constexpr std::size_t kInlineCapacity = 56;
 
   InlineFunction() = default;
 
@@ -106,7 +118,7 @@ class InlineFunction<R(Args...)> {
   void init(F&& fn) {
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  alignof(Fn) <= kStorageAlign &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &inline_ops<Fn>;
@@ -174,8 +186,10 @@ class InlineFunction<R(Args...)> {
       sizeof(Fn*),
   };
 
+  static constexpr std::size_t kStorageAlign = alignof(void*);
+
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
+  alignas(kStorageAlign) unsigned char storage_[kInlineCapacity];
 };
 
 }  // namespace dynreg::sim

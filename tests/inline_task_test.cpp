@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -97,6 +98,33 @@ TEST(InlineTask, DestroysHeapCaptureExactlyOnce) {
     EXPECT_FALSE(t.is_inline());
     EXPECT_GE(live, 2);
   }
+  EXPECT_EQ(live, 0);
+}
+
+// The storage is pointer-aligned, so a capture aligned to more than a
+// pointer takes the heap fallback however small it is — and must still run,
+// move and destroy exactly once (ASan in CI checks the heap side).
+TEST(InlineTask, OverAlignedCaptureFallsBackToHeap) {
+  struct alignas(16) Wide {
+    int* counter;
+  };
+  static_assert(alignof(Wide) > alignof(void*) && sizeof(Wide) <= InlineTask::kInlineCapacity);
+  int hits = 0;
+  int live = 0;
+  {
+    Counted counted(&live);
+    Wide wide{&hits};
+    InlineTask t([wide, counted] {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&wide) % alignof(Wide), 0u);
+      ++*wide.counter;
+    });
+    EXPECT_FALSE(t.is_inline());
+    t();
+    InlineTask u(std::move(t));
+    u();
+    EXPECT_EQ(live, 2);  // the original + exactly one stored copy
+  }
+  EXPECT_EQ(hits, 2);
   EXPECT_EQ(live, 0);
 }
 

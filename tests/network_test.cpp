@@ -1,7 +1,7 @@
 // net::Network — delivery, broadcast membership semantics, the
-// drop-on-departure rule churn depends on, and the batched broadcast
-// delivery (one queued event per arrival tick) reproducing per-copy
-// delivery exactly.
+// drop-on-departure rule churn depends on, point-to-point messages carried
+// by value in their events, and the batched broadcast delivery (one queued
+// event per arrival tick) reproducing per-copy delivery exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +35,15 @@ struct Pong final : Payload {
   std::string_view type_name() const override { return "test.pong"; }
 };
 
+/// A point-to-point message with fields, to check that a by-value copy
+/// arrives intact.
+struct Numbered final : Payload {
+  Numbered(std::uint64_t s, std::uint32_t t) : seq(s), tag(t) {}
+  std::string_view type_name() const override { return "test.numbered"; }
+  std::uint64_t seq;
+  std::uint32_t tag;
+};
+
 /// Cuts every copy towards `cut_to` and rewrites every copy towards an id in
 /// `forge_to` into a Pong.
 class ScriptedHook final : public FaultHook {
@@ -45,7 +54,7 @@ class ScriptedHook final : public FaultHook {
     return to == cut_to_;
   }
   PayloadPtr transform(sim::Time, sim::ProcessId, sim::ProcessId to,
-                       const PayloadPtr&) override {
+                       const Payload&) override {
     for (const sim::ProcessId f : forge_to_) {
       if (f == to) return make_payload<Pong>();
     }
@@ -66,7 +75,7 @@ TEST(Network, DeliversWithModelDelayAndRecordsType) {
     EXPECT_EQ(p.type_name(), "test.ping");
     arrivals.push_back(sim.now());
   });
-  net.send(0, 1, make_payload<Ping>());
+  net.send(0, 1, Ping{});
   sim.run();
 
   EXPECT_EQ(arrivals, (std::vector<sim::Time>{4}));
@@ -95,7 +104,7 @@ TEST(Network, InFlightMessageToDepartedProcessIsDropped) {
   Network net(sim, std::make_unique<FixedDelay>(10));
   int delivered = 0;
   net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
-  net.send(0, 1, make_payload<Ping>());
+  net.send(0, 1, Ping{});
   sim.run_until(5);
   net.detach(1);  // leaves while the message is in flight
   sim.run();
@@ -131,7 +140,7 @@ TEST(Network, GenerationDistinguishesIncarnationsOfAReusedId) {
   // delivery time receives in-flight messages, as with the old map dispatch.
   int delivered = 0;
   net.attach(1, [](sim::ProcessId, const Payload&) { FAIL() << "old incarnation"; });
-  net.send(0, 1, make_payload<Ping>());
+  net.send(0, 1, Ping{});
   net.detach(1);
   net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
   sim.run();
@@ -166,11 +175,43 @@ TEST(Network, LossRateDropsMessages) {
   int delivered = 0;
   net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
   net.set_loss_rate(1.0);
-  for (int i = 0; i < 10; ++i) net.send(0, 1, make_payload<Ping>());
+  for (int i = 0; i < 10; ++i) net.send(0, 1, Ping{});
   sim.run();
 
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(net.stats().dropped_loss, 10u);
+}
+
+// Point-to-point messages travel inside their delivery event: sending costs
+// the arena nothing, in flight or after, and each copy arrives with its own
+// fields, in send order.
+TEST(NetworkValue, PointToPointSendLeavesTheArenaUntouched) {
+  constexpr std::uint32_t kCopies = 10000;
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(2));
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> got;
+  net.attach(1, [&](sim::ProcessId from, const Payload& p) {
+    EXPECT_EQ(from, 0u);
+    ASSERT_EQ(p.type_name(), "test.numbered");
+    const auto& m = static_cast<const Numbered&>(p);
+    got.emplace_back(m.seq, m.tag);
+  });
+  for (std::uint32_t i = 0; i < kCopies; ++i) net.send(0, 1, Numbered(i, i * 7 + 3));
+
+  sim.run_until(1);  // every copy still in flight
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(sim.arena().live_allocations(), 0u);
+  EXPECT_EQ(sim.arena().chunks_created(), 0u);
+  std::uint32_t events = 0;
+  while (sim.step()) ++events;
+
+  EXPECT_EQ(events, kCopies);  // one event per copy, each at tick 2
+  ASSERT_EQ(got.size(), kCopies);
+  for (std::uint32_t i = 0; i < kCopies; ++i) {
+    EXPECT_EQ(got[i], std::make_pair(std::uint64_t{i}, i * 7 + 3)) << "copy " << i;
+  }
+  EXPECT_EQ(net.stats().delivered, kCopies);
+  EXPECT_EQ(sim.arena().chunks_created(), 0u);
 }
 
 TEST(NetworkBatch, SameTickEventsInterleaveAsPerCopyDelivery) {
@@ -190,7 +231,7 @@ TEST(NetworkBatch, SameTickEventsInterleaveAsPerCopyDelivery) {
   sim.schedule_at(2, [&log] { log.push_back("before"); });
   net.broadcast(0, make_payload<Ping>());
   sim.schedule_at(2, [&log] { log.push_back("after"); });
-  net.send(3, 1, make_payload<Ping>());  // a later point-to-point copy
+  net.send(3, 1, Ping{});  // a later point-to-point copy
   sim.run();
 
   EXPECT_EQ(log, (std::vector<std::string>{"before", "copy1", "copy2", "copy3",
@@ -385,7 +426,7 @@ TEST(NetworkBatch, TreeLossAndRelayCutDeliverAsPerCopyTreeModelPredicts) {
       return from == 2 && to == 8;
     }
     PayloadPtr transform(sim::Time, sim::ProcessId, sim::ProcessId,
-                         const PayloadPtr&) override {
+                         const Payload&) override {
       return nullptr;
     }
   };
@@ -435,10 +476,10 @@ TEST(NetworkBatch, TreeLossAndRelayCutDeliverAsPerCopyTreeModelPredicts) {
   EXPECT_EQ(sim.rng().next(), twin.next());
 }
 
-// Regression gate on the delivery path's event cost, a ratio that does not
-// depend on the machine: a small fixed sync join-churn world (the paper's
-// broadcast-INQUIRY / point-to-point-REPLY join, at 0.9x Theorem 1's churn
-// bound) dispatches ~1.36 events per delivered copy with one event per
+// Regression gate on the delivery path's event and arena cost, ratios that
+// do not depend on the machine: a small fixed sync join-churn world (the
+// paper's broadcast-INQUIRY / point-to-point-REPLY join, at 0.9x Theorem 1's
+// churn bound) dispatches ~1.36 events per delivered copy with one event per
 // copy, and well under one with same-tick broadcast copies batched.
 TEST(NetworkBatch, SyncJoinChurnDispatchesUnderPointSevenEventsPerDelivery) {
   constexpr sim::Duration kDelta = 3;
@@ -465,6 +506,13 @@ TEST(NetworkBatch, SyncJoinChurnDispatchesUnderPointSevenEventsPerDelivery) {
   ASSERT_GT(delivered, 100000u);
   const double per_delivery = static_cast<double>(events) / static_cast<double>(delivered);
   EXPECT_LT(per_delivery, 0.7) << events << " events for " << delivered << " deliveries";
+  // Replies travel inside their events, so the arena only holds the INQUIRY
+  // broadcasts and their recipient spans: 2 chunks for ~132k copies (0.015
+  // per 1k), where an arena payload per reply took 14 (0.106 per 1k).
+  const double chunks_per_1k =
+      1000.0 * static_cast<double>(sim.arena().chunks_created()) / static_cast<double>(delivered);
+  EXPECT_LT(chunks_per_1k, 0.05) << sim.arena().chunks_created() << " arena chunks for "
+                                 << delivered << " deliveries";
 }
 
 }  // namespace
