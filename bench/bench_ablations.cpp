@@ -10,6 +10,7 @@
 #include "dynreg/messages.h"
 #include "harness/sweep.h"
 #include "harness/thread_pool.h"
+#include "net/delay_model.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -35,21 +36,22 @@ std::unique_ptr<net::DelayModel> inversion_adversary() {
       });
 }
 
-/// Runs the scripted scenario once; returns true if the two sequential
-/// reads came back inverted (r1 newer than r2).
-bool scripted_inversion_occurs(bool atomic_reads, std::uint64_t seed) {
-  EsConfig cfg;
-  cfg.n = 5;
-  cfg.atomic_reads = atomic_reads;
-  ScriptedCluster cluster(
-      seed, 5, 0.0, churn::LeavePolicy::kUniform, inversion_adversary(),
-      [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<EsRegisterNode>(id, ctx, cfg, initial);
-      });
-  cluster.node(0)->write(OpContext{}, 1, [](OpOutcome) {});
-  pump_until(cluster.sim, [&] { return cluster.node(1)->local_value() == 1; }, 50);
-  const auto r1 = cluster.read_blocking(1, 400);
-  const auto r2 = cluster.read_blocking(2, 400);
+/// Runs the scripted scenario once, enrolled in `session`; returns true if
+/// the two sequential reads came back inverted (r1 newer than r2).
+bool scripted_inversion_occurs(bool atomic_reads, std::uint64_t seed,
+                               replay::Session* session) {
+  // delta = 5 keeps the ES retransmit interval at 2 * delta = 10.
+  harness::ExperimentConfig cfg =
+      scripted_config(harness::Protocol::kEventuallySync, 5, 5, seed);
+  cfg.es_atomic_reads = atomic_reads;
+  harness::Replica replica(
+      cfg, session,
+      replay::scenario_key("E11/ablations_inversion", {atomic_reads ? 1u : 0u, seed}),
+      inversion_adversary());
+  replica.node(0)->write(OpContext{}, 1, [](OpOutcome) {});
+  pump_until(replica.sim(), [&] { return replica.node(1)->local_value() == 1; }, 50);
+  const auto r1 = read_blocking(replica, 1, 400);
+  const auto r2 = read_blocking(replica, 2, 400);
   return r1.has_value() && r2.has_value() && *r1 > *r2;
 }
 
@@ -84,7 +86,7 @@ ResultSection ablate_atomic_reads(const RunOptions& opts) {
   harness::parallel_for(opts.jobs, inversions.size(), [&](std::size_t t) {
     const bool atomic = t >= kInversionTrials;
     const std::uint64_t seed = t % kInversionTrials + 1;
-    inversions[t] = scripted_inversion_occurs(atomic, seed) ? 1 : 0;
+    inversions[t] = scripted_inversion_occurs(atomic, seed, opts.session) ? 1 : 0;
   });
 
   stats::DataTable table({"ES variant", "read latency", "write latency",

@@ -14,6 +14,7 @@
 #include "bench_util.h"
 #include "dynreg/messages.h"
 #include "harness/thread_pool.h"
+#include "net/delay_model.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -31,10 +32,6 @@ struct Outcome {
 
 Outcome run_scenario(bool wait_before_inquiry, sim::Duration joiner_offset,
                      replay::Session* session) {
-  SyncConfig cfg;
-  cfg.delta = kDelta;
-  cfg.wait_before_inquiry = wait_before_inquiry;
-
   // WRITE broadcasts take the full delta (ph/pk still hold the old value
   // when the no-wait joiner inquires); the writer's own REPLY takes delta on
   // both hops and so lands exactly after the joiner's 2*delta collection
@@ -48,23 +45,27 @@ Outcome run_scenario(bool wait_before_inquiry, sim::Duration joiner_offset,
         if (type == msg::SyncReply::kTypeId && from == 0) return kDelta;
         return 1;
       });
-  auto cluster = ScriptedCluster::sync(
-      3, 3, 0.0, cfg, std::move(delays), churn::LeavePolicy::kUniform, session,
+  harness::Replica replica(
+      scripted_config(wait_before_inquiry ? harness::Protocol::kSync
+                                          : harness::Protocol::kSyncNoWait,
+                      3, kDelta, 3),
+      session,
       replay::scenario_key("E1/fig3_join_wait",
-                           {wait_before_inquiry ? 1u : 0u, joiner_offset}));
+                           {wait_before_inquiry ? 1u : 0u, joiner_offset}),
+      std::move(delays));
 
   Outcome out;
-  cluster->sim.run_until(5);
-  cluster->node(0)->write(OpContext{}, 1, [&out](OpOutcome o) {
+  replica.sim().run_until(5);
+  replica.node(0)->write(OpContext{}, 1, [&out](OpOutcome o) {
     if (o == OpOutcome::kOk) out.write_completed = true;
   });
 
-  cluster->sim.run_until(5 + joiner_offset);
-  const sim::ProcessId joiner = cluster->system->spawn();
+  replica.sim().run_until(5 + joiner_offset);
+  const sim::ProcessId joiner = replica.system().spawn();
 
-  cluster->sim.run_until(200);
-  out.joined_value = cluster->node(joiner)->local_value();
-  out.read_after_write = cluster->read_blocking(joiner).value_or(kBottom);
+  replica.sim().run_until(200);
+  out.joined_value = replica.node(joiner)->local_value();
+  out.read_after_write = read_blocking(replica, joiner).value_or(kBottom);
   return out;
 }
 

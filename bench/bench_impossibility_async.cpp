@@ -10,6 +10,7 @@
 // (possible). Scripted deterministic construction: --seeds has no effect.
 #include "bench_util.h"
 #include "harness/thread_pool.h"
+#include "net/delay_model.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -35,23 +36,24 @@ RunResult run_scenario(sim::Time horizon, std::optional<sim::Time> gst,
         if (now < *gst) return *gst - now + 3;  // late but timely after GST
         return 3;
       });
-  auto cluster = ScriptedCluster::es(
-      19, 5, 0.0, std::move(delays), churn::LeavePolicy::kUniform, session,
-      replay::scenario_key("E5/impossibility_async",
-                           {horizon, gst ? *gst + 1 : 0u}));
+  // delta = 5 keeps the ES retransmit interval at 2 * delta = 10.
+  harness::Replica replica(
+      scripted_config(harness::Protocol::kEventuallySync, 5, 5, 19), session,
+      replay::scenario_key("E5/impossibility_async", {horizon, gst ? *gst + 1 : 0u}),
+      std::move(delays));
 
   RunResult result;
-  cluster->node(0)->write(OpContext{}, 1, [&result](OpOutcome o) {
+  replica.node(0)->write(OpContext{}, 1, [&result](OpOutcome o) {
     if (o == OpOutcome::kOk) result.write_completed = true;
   });
   const sim::Time read_start = 0;
-  cluster->node(kVictim)->read(
-      OpContext{}, [&result, &cluster, read_start](OpOutcome o, Value) {
-        if (o != OpOutcome::kOk) return;
-        result.victim_read_completed = true;
-        result.victim_read_latency = cluster->sim.now() - read_start;
-      });
-  cluster->sim.run_until(horizon);
+  sim::Simulation& sim = replica.sim();
+  replica.node(kVictim)->read(OpContext{}, [&result, &sim, read_start](OpOutcome o, Value) {
+    if (o != OpOutcome::kOk) return;
+    result.victim_read_completed = true;
+    result.victim_read_latency = sim.now() - read_start;
+  });
+  sim.run_until(horizon);
   return result;
 }
 

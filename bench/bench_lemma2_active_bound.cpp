@@ -35,15 +35,14 @@ ExperimentResult run(const RunOptions& opts) {
 
   harness::parallel_for(opts.jobs, fractions.size(), [&](std::size_t i) {
     const double c = fractions[i] * threshold;
-    SyncConfig cfg;
-    cfg.delta = kDelta;
-    auto cluster = ScriptedCluster::sync(
-        17, kN, c, cfg, std::make_unique<net::SynchronousDelay>(kDelta),
-        churn::LeavePolicy::kOldestActiveFirst, opts.session,
-        replay::scenario_key("E2/lemma2_active_bound", {i}));
-    cluster->sim.run_until(kHorizon);
+    harness::ExperimentConfig cfg = scripted_config(harness::Protocol::kSync, kN, kDelta, 17);
+    cfg.churn_rate = c;
+    cfg.leave_policy = churn::LeavePolicy::kOldestActiveFirst;
+    harness::Replica replica(cfg, opts.session,
+                             replay::scenario_key("E2/lemma2_active_bound", {i}));
+    replica.sim().run_until(kHorizon);
 
-    const auto& chron = cluster->system->chronicle();
+    const auto& chron = replica.system().chronicle();
     const sim::Duration window = 3 * kDelta;
     measured[i].initial_window = chron.active_through(0, window);
     std::size_t steady_min = kN;

@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/rng.h"
+
 namespace dynreg::client {
-
-namespace {
-
-/// splitmix64 finalizer — the repo's standard mixing step, duplicated here
-/// (rather than pulling replay/trace.h into the client) because the client
-/// sits *below* the replay layer and must not depend on it.
-std::uint64_t mix64(std::uint64_t v) {
-  std::uint64_t z = v + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Client::Client(sim::Simulation& sim, churn::System& system,
                consistency::History& history, sim::Time horizon)
@@ -31,7 +19,7 @@ sim::Duration Client::retry_delay(const OpRecord& rec) const {
   // Jitter from a pure hash of (seed, op, attempt): deterministic per run,
   // different across ops/attempts, zero Rng draws (replay-transparent).
   const std::uint64_t h =
-      mix64(mix64(sim_.seed() ^ (rec.id * 0x9e3779b97f4a7c15ULL)) ^ rec.attempts);
+      sim::mix64(sim::mix64(sim_.seed() ^ (rec.id * sim::kGolden64)) ^ rec.attempts);
   return base + static_cast<sim::Duration>(h % retry.backoff);
 }
 

@@ -27,6 +27,7 @@
 #include "replay/hooks.h"
 #include "replay/recorder.h"
 #include "replay/replayer.h"
+#include "replay/session.h"
 #include "shard/keyed_workload.h"
 #include "shard/router.h"
 
@@ -102,18 +103,12 @@ std::vector<sim::ProcessId> designated_writers(const ExperimentConfig& cfg) {
   return writers;
 }
 
-MetricsReport run_experiment(const ExperimentConfig& cfg) {
-  return run_experiment(cfg, replay::RunHooks{});
-}
-
-namespace {
-
 /// One membership group's owned world: the network, history, churn::System
 /// and client serving one register, plus the recorder tagging the group's
 /// churn with its shard id when the run records. Construction order inside a
 /// world is fixed (network, history, system, client) and worlds are built
 /// in shard order, so the whole assembly is deterministic.
-struct World {
+struct Replica::World {
   std::unique_ptr<net::Network> net;
   std::unique_ptr<consistency::History> history;
   std::unique_ptr<churn::System> system;
@@ -122,60 +117,7 @@ struct World {
   std::size_t n = 0;  ///< this world's slice of the total population
 };
 
-/// Builds world `shard` of `count` for `cfg`. Replay models come from
-/// `replayer` when set; recording wrappers and observers feed hooks.record.
-World build_world(sim::Simulation& sim, const ExperimentConfig& cfg,
-                  const replay::RunHooks& hooks, replay::TraceReplayer* replayer,
-                  std::uint32_t shard, std::size_t count,
-                  const std::vector<sim::ProcessId>& writers) {
-  World w;
-  // Population slice: n/S each, remainder spread over the first shards —
-  // pure arithmetic on the config (a one-world run gets all n).
-  w.n = cfg.n / count + (shard < cfg.n % count ? 1 : 0);
-
-  // Recording interleaves every world's verdicts into the one net stream, so
-  // replay hands every world a model on the replayer's one cursor.
-  std::unique_ptr<net::DelayModel> delays =
-      replayer != nullptr ? replayer->make_delay_model() : build_delays(cfg);
-  if (hooks.record != nullptr) {
-    delays = std::make_unique<replay::RecordingDelayModel>(std::move(delays),
-                                                           *hooks.record);
-  }
-  w.net = std::make_unique<net::Network>(sim, std::move(delays));
-  w.net->set_loss_rate(cfg.loss_rate);
-  if (cfg.dissemination == Dissemination::kTree) {
-    w.net->set_disseminator(std::make_unique<net::TreeDisseminator>(cfg.tree_fanout));
-  }
-
-  w.history = std::make_unique<consistency::History>(kInitialValue);
-
-  churn::SystemConfig sys_cfg;
-  sys_cfg.initial_size = w.n;
-  sys_cfg.leave_policy = cfg.leave_policy;
-  sys_cfg.exempt = writers;
-  sys_cfg.chronicle = {cfg.chronicle_aggregate, 3 * cfg.delta, cfg.duration};
-
-  std::unique_ptr<churn::ChurnModel> churn_model;
-  if (replayer != nullptr) {
-    churn_model = replayer->make_churn_model(shard);
-  } else if (cfg.churn_kind == ChurnKind::kNone || cfg.churn_rate <= 0.0) {
-    churn_model = std::make_unique<churn::NoChurn>();
-  } else {
-    churn_model = std::make_unique<churn::ConstantChurn>(cfg.churn_rate);
-  }
-
-  w.system = std::make_unique<churn::System>(sim, *w.net, sys_cfg, std::move(churn_model),
-                                             build_node_factory(cfg, w.n));
-  w.client = std::make_unique<client::Client>(sim, *w.system, *w.history, cfg.duration);
-
-  if (hooks.record != nullptr) {
-    w.recorder = std::make_unique<replay::TraceRecorder>(*hooks.record, shard);
-    w.system->set_churn_observer(w.recorder.get());
-    w.client->set_target_observer(w.recorder.get());
-  }
-  if (replayer != nullptr) w.client->set_target_chooser(replayer->target_chooser());
-  return w;
-}
+namespace {
 
 /// Appends `src` to `dst`, moving when `dst` is still empty.
 void append(std::vector<double>& dst, std::vector<double>&& src) {
@@ -245,19 +187,21 @@ void summarize_shards(const ExperimentConfig& cfg, MetricsReport& report) {
                                                 static_cast<double>(cfg.duration);
 }
 
+}  // namespace
+
 /// Folds every world's counters, latencies, join/chronicle accounting,
 /// traffic and consistency checks into one report, in world order. The
 /// per-shard slices are filled only for sharded runs; the fault counters
 /// only when the run armed an injector (one-world runs only).
-MetricsReport harvest(const ExperimentConfig& cfg, std::vector<World>& worlds,
-                      const fault::Injector* injector) {
+MetricsReport Replica::harvest(const fault::Injector* injector) {
+  const ExperimentConfig& cfg = cfg_;
   MetricsReport report;
   std::vector<double> reads;
   std::vector<double> writes;
   std::uint64_t join_latency_total = 0;
   report.min_active_3delta = std::numeric_limits<double>::infinity();
 
-  for (World& w : worlds) {
+  for (World& w : worlds_) {
     client::OpStats& ops = w.client->stats();
     report.reads_issued += ops.reads_issued;
     report.reads_completed += ops.reads_completed;
@@ -326,76 +270,148 @@ MetricsReport harvest(const ExperimentConfig& cfg, std::vector<World>& worlds,
     report.faults_recoveries = fs.recoveries;
     report.faults_partitions = fs.partitions;
     report.faults_heals = fs.heals;
-    report.msgs_dropped_partition = worlds[0].net->stats().dropped_partition;
-    report.msgs_transformed = worlds[0].net->stats().transformed;
+    report.msgs_dropped_partition = worlds_[0].net->stats().dropped_partition;
+    report.msgs_transformed = worlds_[0].net->stats().transformed;
   }
   if (cfg.shard_count > 0) summarize_shards(cfg, report);
   return report;
 }
 
-}  // namespace
+Replica::Replica(const ExperimentConfig& config, const replay::RunHooks& hooks,
+                 std::unique_ptr<net::DelayModel> delays)
+    : cfg_(config), hooks_(hooks), sim_(config.seed) {
+  build(std::move(delays));
+}
 
-MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks& hooks) {
+Replica::Replica(const ExperimentConfig& config, replay::Session* session,
+                 std::uint64_t key, std::unique_ptr<net::DelayModel> delays)
+    : cfg_(config),
+      session_(session),
+      hooks_(session != nullptr ? session->open(key, config.seed, scratch_)
+                                : replay::RunHooks{}),
+      sim_(config.seed) {
+  build(std::move(delays));
+}
+
+Replica::~Replica() {
+  if (session_ != nullptr) session_->finish(hooks_, sim_.trace_hash());
+}
+
+churn::System& Replica::system() { return *worlds_[0].system; }
+
+RegisterNode* Replica::node(sim::ProcessId id) { return worlds_[0].client->node(id); }
+
+void Replica::build(std::unique_ptr<net::DelayModel> delays) {
+  const ExperimentConfig& cfg = cfg_;
   if (cfg.shard_count > cfg.n) {
     throw std::invalid_argument("shard_count " + std::to_string(cfg.shard_count) +
                                 " exceeds n " + std::to_string(cfg.n) +
                                 ": some shards would have no members");
   }
   const bool sharded = cfg.shard_count > 0;
-  if (sharded && cfg.fault.enabled()) {
+  if (sharded && (cfg.fault.enabled() || delays != nullptr)) {
     throw std::invalid_argument(
-        "fault plans need a single-register run: the fault injector targets one "
+        "fault plans and delay models need a single-register run: they target one "
         "membership group, so shard_count must be 0");
   }
 
-  sim::Simulation sim(cfg.seed);
-
   // Replay components must outlive the run; the chooser in particular is
   // only referenced (non-owning) by the Clients.
-  std::unique_ptr<replay::TraceReplayer> replayer;
-  if (hooks.replay != nullptr) {
-    // Aliasing ctor: the caller guarantees *hooks.replay outlives
-    // this call, so the shared_ptr carries no ownership.
-    replayer = std::make_unique<replay::TraceReplayer>(
+  if (hooks_.replay != nullptr) {
+    // Aliasing ctor: the caller guarantees *hooks_.replay outlives the
+    // replica, so the shared_ptr carries no ownership.
+    replayer_ = std::make_unique<replay::TraceReplayer>(
         std::shared_ptr<const replay::Trace>(std::shared_ptr<const replay::Trace>(),
-                                             hooks.replay));
+                                             hooks_.replay));
   }
-  if (hooks.record != nullptr) {
-    hooks.record->churn_loop =
+  if (hooks_.record != nullptr) {
+    hooks_.record->churn_loop =
         cfg.churn_kind == ChurnKind::kConstant && cfg.churn_rate > 0.0;
   }
 
   // Designated writers (pinned: exempt from churn). The keyed engine writes
   // through each shard's process 0 whenever its mix coin allows writes;
   // reads-only configs pin nobody, mirroring writes_enabled unsharded.
-  std::vector<sim::ProcessId> writers;
   if (!sharded) {
-    writers = designated_writers(cfg);
+    writers_ = designated_writers(cfg);
   } else if (cfg.workload.read_frac < 1.0) {
-    writers = {shard::kShardWriter};
+    writers_ = {shard::kShardWriter};
   }
 
   const std::size_t count = sharded ? cfg.shard_count : 1;
-  std::vector<World> worlds;
-  worlds.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    worlds.push_back(build_world(sim, cfg, hooks, replayer.get(),
-                                 static_cast<std::uint32_t>(s), count, writers));
+  worlds_.reserve(count);
+  for (std::uint32_t shard = 0; shard < count; ++shard) {
+    World& w = worlds_.emplace_back();
+    // Population slice: n/S each, remainder spread over the first shards —
+    // pure arithmetic on the config (a one-world run gets all n).
+    w.n = cfg.n / count + (shard < cfg.n % count ? 1 : 0);
+
+    // Recording interleaves every world's verdicts into the one net stream,
+    // so replay hands every world a model on the replayer's one cursor. A
+    // caller's adversary (one-world runs only) stands in for build_delays.
+    if (replayer_ != nullptr) {
+      delays = replayer_->make_delay_model();
+    } else if (delays == nullptr) {
+      delays = build_delays(cfg);
+    }
+    if (hooks_.record != nullptr) {
+      delays = std::make_unique<replay::RecordingDelayModel>(std::move(delays),
+                                                             *hooks_.record);
+    }
+    w.net = std::make_unique<net::Network>(sim_, std::move(delays));
+    w.net->set_loss_rate(cfg.loss_rate);
+    if (cfg.dissemination == Dissemination::kTree) {
+      w.net->set_disseminator(std::make_unique<net::TreeDisseminator>(cfg.tree_fanout));
+    }
+
+    w.history = std::make_unique<consistency::History>(kInitialValue);
+
+    churn::SystemConfig sys_cfg;
+    sys_cfg.initial_size = w.n;
+    sys_cfg.leave_policy = cfg.leave_policy;
+    sys_cfg.exempt = writers_;
+    sys_cfg.chronicle = {cfg.chronicle_aggregate, 3 * cfg.delta, cfg.duration};
+
+    std::unique_ptr<churn::ChurnModel> churn_model;
+    if (replayer_ != nullptr) {
+      churn_model = replayer_->make_churn_model(shard);
+    } else if (cfg.churn_kind == ChurnKind::kNone || cfg.churn_rate <= 0.0) {
+      churn_model = std::make_unique<churn::NoChurn>();
+    } else {
+      churn_model = std::make_unique<churn::ConstantChurn>(cfg.churn_rate);
+    }
+
+    w.system = std::make_unique<churn::System>(sim_, *w.net, sys_cfg,
+                                               std::move(churn_model),
+                                               build_node_factory(cfg, w.n));
+    w.client = std::make_unique<client::Client>(sim_, *w.system, *w.history, cfg.duration);
+
+    if (hooks_.record != nullptr) {
+      w.recorder = std::make_unique<replay::TraceRecorder>(*hooks_.record, shard);
+      w.system->set_churn_observer(w.recorder.get());
+      w.client->set_target_observer(w.recorder.get());
+    }
+    if (replayer_ != nullptr) w.client->set_target_chooser(replayer_->target_chooser());
   }
 
+  for (World& w : worlds_) w.system->bootstrap();
+}
+
+MetricsReport Replica::run() {
+  const ExperimentConfig& cfg = cfg_;
   // The workload engine the config names: the keyed engine routes over
   // every world; the single-register engine drives the one world.
   std::optional<shard::ShardedClient> router;
   std::optional<shard::KeyedGenerator> keyed;
   std::unique_ptr<workload::Generator> generator;
-  if (sharded) {
+  if (cfg.shard_count > 0) {
     std::vector<client::Client*> clients;
-    for (World& w : worlds) clients.push_back(w.client.get());
+    for (World& w : worlds_) clients.push_back(w.client.get());
     router.emplace(std::move(clients));
-    keyed.emplace(shard::KeyedGenerator::Env{sim, *router, cfg.workload, cfg.duration});
+    keyed.emplace(shard::KeyedGenerator::Env{sim_, *router, cfg.workload, cfg.duration});
   } else {
     generator = workload::make_generator(workload::Env{
-        sim, *worlds[0].system, *worlds[0].client, cfg.workload, cfg.duration, writers});
+        sim_, *worlds_[0].system, *worlds_[0].client, cfg.workload, cfg.duration, writers_});
   }
 
   // The fault engine, when the config arms one. Decisions flow through the
@@ -406,34 +422,37 @@ MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks
   std::unique_ptr<fault::DecisionSource> fault_decisions;
   std::unique_ptr<fault::Injector> injector;
   if (cfg.fault.enabled()) {
-    if (hooks.replay != nullptr) {
+    if (hooks_.replay != nullptr) {
       fault_decisions = std::make_unique<fault::ReplayDecisionSource>(
           std::shared_ptr<const replay::Trace>(std::shared_ptr<const replay::Trace>(),
-                                               hooks.replay));
+                                               hooks_.replay));
     } else {
-      fault_decisions = std::make_unique<fault::LiveDecisionSource>(sim.rng());
-      if (hooks.record != nullptr) {
+      fault_decisions = std::make_unique<fault::LiveDecisionSource>(sim_.rng());
+      if (hooks_.record != nullptr) {
         fault_decisions = std::make_unique<fault::RecordingDecisionSource>(
-            std::move(fault_decisions), *hooks.record);
+            std::move(fault_decisions), *hooks_.record);
       }
     }
-    injector = std::make_unique<fault::Injector>(sim, *worlds[0].system, *worlds[0].net,
-                                                 cfg.fault, *fault_decisions, writers);
+    injector = std::make_unique<fault::Injector>(sim_, *worlds_[0].system, *worlds_[0].net,
+                                                 cfg.fault, *fault_decisions, writers_);
   }
 
-  // Members first (in world order), then faults, then traffic.
-  for (World& w : worlds) w.system->bootstrap();
+  // Members are up (the constructor bootstrapped them); faults, then traffic.
   if (injector) injector->start();
   if (keyed) {
     keyed->start();
   } else {
     generator->start();
   }
-  sim.run_until(cfg.duration);
+  sim_.run_until(cfg.duration);
 
-  MetricsReport report = harvest(cfg, worlds, injector.get());
-  report.trace_hash = sim.trace_hash();
+  MetricsReport report = harvest(injector.get());
+  report.trace_hash = sim_.trace_hash();
   return report;
+}
+
+MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks& hooks) {
+  return Replica(cfg, hooks).run();
 }
 
 }  // namespace dynreg::harness

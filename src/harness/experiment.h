@@ -4,16 +4,29 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "churn/system.h"
 #include "fault/plan.h"
 #include "harness/metrics.h"
 #include "harness/workload_config.h"
+#include "replay/hooks.h"
 #include "sim/simulation.h"
 
+namespace dynreg {
+class RegisterNode;
+}  // namespace dynreg
+namespace dynreg::fault {
+class Injector;
+}  // namespace dynreg::fault
+namespace dynreg::net {
+class DelayModel;
+}  // namespace dynreg::net
 namespace dynreg::replay {
-struct RunHooks;
+class Session;
+class TraceReplayer;
 }  // namespace dynreg::replay
 
 namespace dynreg::harness {
@@ -109,19 +122,59 @@ struct ExperimentConfig {
   }
 };
 
-/// Runs one replica to completion: deploys `config.protocol` over the
-/// churn/network substrate in max(1, shard_count) worlds, applies the
-/// workload until `config.duration`, then harvests metrics and runs the
-/// consistency checkers over every recorded history. Self-contained and
-/// thread-compatible: concurrent calls share no state, which is what the
-/// replica grid (harness/sweep.h) exploits. Throws std::invalid_argument for
-/// a config the pipeline cannot honour (shard_count > n, or a fault plan on
-/// a sharded run) rather than returning vacuous results.
-MetricsReport run_experiment(const ExperimentConfig& config);
+/// One replica: the Simulation, the record/replay plumbing and
+/// max(1, shard_count) worlds (network, history, membership, client) built
+/// from a config. run_experiment is Replica(config, hooks).run(); the
+/// scripted constructions build one and drive sim(), system() and node() by
+/// hand. A (config, seed) pair fully determines everything it does.
+class Replica {
+ public:
+  /// Builds every world and bootstraps its members. `delays`, when set,
+  /// replaces the delay model config.timing names (an adversary); replay
+  /// still feeds the recorded verdicts. Throws std::invalid_argument for a
+  /// config the pipeline cannot honour (shard_count > n, a fault plan or
+  /// `delays` on a sharded run) rather than returning vacuous results.
+  explicit Replica(const ExperimentConfig& config, const replay::RunHooks& hooks = {},
+                   std::unique_ptr<net::DelayModel> delays = nullptr);
+  /// The same, enrolled in `session` (nullptr: a plain run) under
+  /// (key, config.seed): the session hands out the hooks, and the
+  /// destructor finishes the run with its audit hash.
+  Replica(const ExperimentConfig& config, replay::Session* session, std::uint64_t key,
+          std::unique_ptr<net::DelayModel> delays = nullptr);
+  ~Replica();
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
 
-/// Same run, recording or replaying its schedule through `hooks` (see
-/// replay/hooks.h). A default-constructed RunHooks is a plain run.
+  /// Arms the fault plan and the workload engine, runs to config.duration
+  /// and harvests the report. Call at most once; the replica is spent after.
+  MetricsReport run();
+
+  sim::Simulation& sim() { return sim_; }
+  /// World 0's membership (the only world of an unsharded run).
+  churn::System& system();
+  /// World 0's register node `id`; nullptr once it left.
+  RegisterNode* node(sim::ProcessId id);
+
+ private:
+  struct World;
+  void build(std::unique_ptr<net::DelayModel> delays);
+  MetricsReport harvest(const fault::Injector* injector);
+
+  const ExperimentConfig cfg_;
+  replay::Session* const session_ = nullptr;
+  replay::Trace scratch_;  // the recording, when session_ records
+  const replay::RunHooks hooks_;
+  sim::Simulation sim_;
+  std::unique_ptr<replay::TraceReplayer> replayer_;
+  std::vector<sim::ProcessId> writers_;
+  std::vector<World> worlds_;
+};
+
+/// Runs one replica to completion: Replica(config, hooks).run(). Concurrent
+/// calls share no state, which is what the replica grid (harness/sweep.h)
+/// exploits. A default-constructed RunHooks is a plain run; otherwise the
+/// run records or replays its schedule through `hooks` (replay/hooks.h).
 MetricsReport run_experiment(const ExperimentConfig& config,
-                             const replay::RunHooks& hooks);
+                             const replay::RunHooks& hooks = {});
 
 }  // namespace dynreg::harness

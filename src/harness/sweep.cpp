@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "harness/thread_pool.h"
-#include "replay/session.h"
 #include "replay/trace_io.h"
 
 namespace dynreg::harness {
@@ -26,14 +25,8 @@ std::vector<std::vector<MetricsReport>> run_grid(const std::vector<ExperimentCon
     const std::size_t s = task % seeds;
     ExperimentConfig cfg = cells[c];
     cfg.seed = replica_seed(cells[c].seed, s);
-    if (session == nullptr) {
-      grid[c][s] = run_experiment(cfg);
-      return;
-    }
-    replay::Trace scratch;
-    const replay::RunHooks hooks = session->open(replay::fingerprint(cfg), cfg.seed, scratch);
-    grid[c][s] = run_experiment(cfg, hooks);
-    session->finish(hooks, grid[c][s].trace_hash);
+    const std::uint64_t key = session != nullptr ? replay::fingerprint(cfg) : 0;
+    grid[c][s] = Replica(cfg, session, key).run();
   });
   return grid;
 }

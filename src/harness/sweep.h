@@ -1,9 +1,10 @@
 // The replica grid: run every cell (a config) over several seeds and collect
 // the reports, optionally enrolled in a record/replay session.
 //
-// The grid runs on a ThreadPool. Each replica owns its whole world —
-// Simulation, Rng, Network, nodes — so runs never share mutable state, and
-// every replica writes its MetricsReport into a pre-assigned slot. The
+// The grid runs on parallel_for's worker threads. Each replica owns its
+// whole world — Simulation, Rng, Network, nodes — so runs never share
+// mutable state, and every replica writes its MetricsReport into a
+// pre-assigned slot. The
 // collected output is therefore byte-identical for any worker count:
 // parallelism changes wall-clock time only.
 #pragma once

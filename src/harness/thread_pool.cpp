@@ -1,98 +1,46 @@
 #include "harness/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace dynreg::harness {
 
-ThreadPool::ThreadPool(std::size_t workers) {
-  workers_.reserve(std::max<std::size_t>(1, workers));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, workers); ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(sim::InlineTask task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  wake_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-std::size_t ThreadPool::resolve_jobs(std::size_t jobs) {
+std::size_t resolve_jobs(std::size_t jobs) {
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-void ThreadPool::worker_loop() {
-  for (;;) {
-    sim::InlineTask task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
-  }
-}
-
 void parallel_for(std::size_t jobs, std::size_t count, const IndexBody& body) {
-  const std::size_t workers = std::min(ThreadPool::resolve_jobs(jobs), count);
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  if (workers <= 1) {
-    // Same contract as the pooled path: every body runs (so the caller's
-    // pre-sized result slots fill independently of the worker count), and
-    // the first exception is rethrown at the end.
-    for (std::size_t i = 0; i < count; ++i) {
+  const auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
       try {
         body(i);
       } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
     }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
+  };
+  // The caller is one of the workers, so jobs == 1 runs in index order on it.
+  const std::size_t workers = std::min(resolve_jobs(jobs), count);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);  // emplace_back below then never reallocates
+  try {
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // Out of threads: the workers already started and the caller finish.
   }
-
-  {
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < count; ++i) {
-      pool.submit([&, i] {
-        try {
-          body(i);
-        } catch (...) {
-          std::unique_lock<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    pool.wait_idle();
-  }
+  drain();
+  for (std::thread& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }
 

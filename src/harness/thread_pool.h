@@ -1,79 +1,34 @@
-// Fixed-size worker pool driving seed-parallel experiment replicas.
+// Seed-parallel execution of experiment replicas.
 //
 // The simulation core is single-threaded by design (one Simulation, one Rng,
 // one EventQueue per run); parallelism lives entirely up here, where each
-// submitted task owns a whole replica. Nothing below src/harness/ ever sees
-// a second thread.
+// index of a parallel_for owns a whole replica. Nothing below src/harness/
+// ever sees a second thread.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
-
-#include "sim/inline_task.h"
 
 namespace dynreg::harness {
 
-/// A minimal fixed-size thread pool.
-///
-/// Tasks are executed in submission order by `workers` threads. The pool is
-/// intended for coarse-grained work (whole simulation replicas, milliseconds
-/// each), so per-task overhead is irrelevant; correctness and determinism of
-/// the *results* are the callers' concern — see parallel_for(), which gives
-/// every task a pre-assigned output slot.
-class ThreadPool {
- public:
-  /// Spawns `workers` threads (at least 1).
-  explicit ThreadPool(std::size_t workers);
-
-  /// Joins all workers after draining the queue.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Tasks must not throw; wrap anything throwing (see
-  /// parallel_for for the pattern). InlineTask keeps the queue slot
-  /// allocation-free for captures within the inline budget.
-  void submit(sim::InlineTask task);
-
-  /// Blocks until every submitted task has finished executing.
-  void wait_idle();
-
-  [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
-
-  /// Maps a user-facing --jobs value to a worker count: 0 means "one per
-  /// hardware thread" (falling back to 1 when the hardware is unknown).
-  static std::size_t resolve_jobs(std::size_t jobs);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<sim::InlineTask> queue_;
-  std::mutex mutex_;
-  std::condition_variable wake_;   // workers wait here for tasks
-  std::condition_variable idle_;   // wait_idle() waits here
-  std::size_t in_flight_ = 0;      // queued + currently executing
-  bool stopping_ = false;
-};
+/// Maps a user-facing --jobs value to a worker count: 0 means "one per
+/// hardware thread" (falling back to 1 when the hardware is unknown).
+std::size_t resolve_jobs(std::size_t jobs);
 
 /// Type-erased per-index body for parallel_for. Exactly one is constructed
-/// per parallel_for *call* — every pooled task captures only a reference to
-/// it — so the type-erasure cost is O(sweeps), never per event.
+/// per parallel_for *call* — every worker captures only a reference to it —
+/// so the type-erasure cost is O(sweeps), never per event.
 // dynreg-lint: allow(std-function): one instance per parallel_for call, O(sweeps) not O(events)
 using IndexBody = std::function<void(std::size_t)>;
 
-/// Runs body(0) .. body(count-1) across `jobs` workers (serially when jobs
-/// resolves to 1) and returns when all have finished. Index assignment is
-/// static, so writing results into a pre-sized vector slot `i` from body(i)
-/// is race-free and yields output independent of the worker count — the
-/// determinism contract every caller relies on. The first exception thrown
-/// by any body is rethrown on the calling thread once all bodies finished.
+/// Runs body(0) .. body(count-1) on up to `jobs` threads, the caller's
+/// included (serially on the caller when jobs resolves to 1), and returns
+/// when all have finished.
+/// Workers take indices from a shared counter, so each index runs exactly
+/// once: writing results into a pre-sized vector slot `i` from body(i) is
+/// race-free and yields output independent of the worker count — the
+/// determinism contract every caller relies on. Every body runs even if
+/// another throws; the first exception is rethrown on the calling thread.
 void parallel_for(std::size_t jobs, std::size_t count, const IndexBody& body);
 
 }  // namespace dynreg::harness

@@ -32,6 +32,11 @@
 
 namespace dynreg::workload {
 
+/// The per-op client policy (deadline + retry) `config` describes, for the
+/// single-register and the keyed engines alike. Default config fields build
+/// a default OpOptions — byte-identical to the historical no-options path.
+[[nodiscard]] client::OpOptions op_options(const Config& config);
+
 /// Everything a generator drives: the run's simulation, system, and client,
 /// plus the traffic description and run horizon. References must outlive
 /// the generator.
@@ -70,11 +75,6 @@ class Generator {
 
   /// Whether the read tick firing at `now` should issue its read.
   virtual bool read_tick_allowed(sim::Time now) const;
-
-  /// The per-op client policy (deadline + retry) the config describes.
-  /// Default config fields build a default OpOptions — byte-identical to
-  /// the historical no-options issue path.
-  [[nodiscard]] client::OpOptions op_options() const;
 
   /// The shared designated-writer stream: writes every write_interval,
   /// each writer kept (mostly) sequential — a tick is skipped while a write

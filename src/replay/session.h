@@ -1,9 +1,9 @@
 // A record/replay session: the set of runs one `dynreg_exp record|replay`
 // invocation captures, respectively re-feeds. The CLI (or a test) constructs
-// one and hands it down as RunOptions::session; harness::run_grid and
-// bench::ScriptedCluster enroll each of their runs through the open/finish
-// pair below. A run made without a session pointer is a plain run — there is
-// no process-wide session.
+// one and hands it down as RunOptions::session; a harness::Replica built
+// with a session (every run_grid replica, and each scripted construction)
+// enrolls through the open/finish pair below. A run made without a session
+// pointer is a plain run — there is no process-wide session.
 //
 // Runs are keyed by (key, seed): the config fingerprint for run_grid runs,
 // replay::scenario_key for the scripted constructions. open() and finish()

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "harness/workload.h"
 #include "shard/keyspace.h"
 
 namespace dynreg::shard {
@@ -10,12 +11,8 @@ namespace dynreg::shard {
 KeyedGenerator::KeyedGenerator(Env env)
     : env_(std::move(env)),
       picker_(env_.config.key_count, env_.config.zipf_s,
-              mix64(env_.sim.seed() ^ kKeyedWorkloadSalt)) {
-  if (env_.config.op_deadline > 0) options_.deadline = env_.config.op_deadline;
-  options_.retry.max_attempts = env_.config.retry_max_attempts;
-  options_.retry.backoff = env_.config.retry_backoff;
-  options_.retry.exponential = env_.config.retry_exponential;
-}
+              sim::mix64(env_.sim.seed() ^ kKeyedWorkloadSalt)),
+      options_(workload::op_options(env_.config)) {}
 
 void KeyedGenerator::start() {
   for (std::size_t s = 0; s < env_.config.clients; ++s) issue(s);

@@ -251,11 +251,6 @@ std::pair<Time, std::uint32_t> EventQueue::take_top() {
   return {t, top.slot};
 }
 
-Event EventQueue::pop() {
-  const auto [time, slot] = take_top();
-  return Event{time, pool_.release(slot)};
-}
-
 void EventQueue::run_top(Time* now_out) {
   const auto [time, slot] = take_top();
   if (now_out != nullptr) *now_out = time;  // the event must see the advanced clock

@@ -73,11 +73,6 @@ constexpr EventKey make_event_key(Time time, std::uint64_t seq) {
 constexpr Time event_key_time(EventKey key) { return key.time; }
 #endif
 
-struct Event {
-  Time time = 0;
-  InlineTask fn;
-};
-
 class EventQueue {
  public:
   /// Ring span in ticks. Every delay model in the library produces delays
@@ -104,14 +99,10 @@ class EventQueue {
     ++size_;
   }
 
-  /// Removes and returns the earliest event (FIFO among equal times).
-  /// Precondition: !empty().
-  Event pop();
-
-  /// Removes the earliest event and invokes its callable in place — the
-  /// simulation-loop fast path. Pool slots have stable addresses, so the
-  /// callable runs where it sits (no move-out, no temporary Event) even if
-  /// it pushes new events while executing. If `now_out` is non-null it is
+  /// Removes the earliest event (FIFO among equal times) and invokes its
+  /// callable in place. Pool slots have stable addresses, so the callable
+  /// runs where it sits (no move-out) even if it pushes new events while
+  /// executing. If `now_out` is non-null it is
   /// set to the event's time *before* the callable runs, so a caller
   /// owning a clock advances it without a second queue scan and the
   /// running event observes the new time. Precondition: !empty().
@@ -184,13 +175,6 @@ class EventQueue {
       auto* t = new (&slabs_[slot / kSlabSize]->tasks[slot % kSlabSize]) InlineTask();
       t->assign(std::forward<F>(fn));
       return slot;
-    }
-
-    /// Moves the callable out and returns the slot to the free list.
-    InlineTask release(std::uint32_t slot) {
-      InlineTask fn = std::move(task(slot));
-      free_.push_back(slot);
-      return fn;
     }
 
     /// Stable reference into the slab (valid across pool growth).

@@ -58,10 +58,7 @@ class Simulation {
     // splitmix64 finalizer over (previous digest ^ value): cheap, and every
     // input bit diffuses into the whole digest, so the first diverging event
     // changes the final hash with overwhelming probability.
-    std::uint64_t z = trace_hash_ ^ v;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    trace_hash_ = z ^ (z >> 31);
+    trace_hash_ = splitmix64(trace_hash_ ^ v);
 #else
     (void)v;
 #endif
@@ -116,7 +113,7 @@ class Simulation {
   Rng rng_;
   std::uint64_t seed_ = 0;
 #ifdef DYNREG_AUDIT
-  std::uint64_t trace_hash_ = 0x9e3779b97f4a7c15ULL;  // non-zero: "audited, empty"
+  std::uint64_t trace_hash_ = kGolden64;  // non-zero: "audited, empty"
   std::uint64_t audit_seq_ = 0;
 #endif
 };

@@ -59,9 +59,8 @@ class ReferenceModel {
 };
 
 /// Runs one randomized trace; `max_jump` > EventQueue::kWindow exercises the
-/// far tier and the wheel/heap tie-breaking, `use_run_top` switches between
-/// the pop() and run_top() consumption paths.
-void run_random_trace(std::uint32_t seed, Time max_jump, bool use_run_top) {
+/// far tier and the wheel/heap tie-breaking.
+void run_random_trace(std::uint32_t seed, Time max_jump) {
   std::mt19937 rng(seed);
   EventQueue queue;
   ReferenceModel model;
@@ -74,13 +73,9 @@ void run_random_trace(std::uint32_t seed, Time max_jump, bool use_run_top) {
     ASSERT_EQ(queue.next_time(), model.next_time());
     const Time expected_time = model.next_time();
     now = std::max(now, expected_time);
-    if (use_run_top) {
-      queue.run_top();
-    } else {
-      Event e = queue.pop();
-      EXPECT_EQ(e.time, expected_time);
-      e.fn();
-    }
+    Time popped_at = 0;
+    queue.run_top(&popped_at);
+    EXPECT_EQ(popped_at, expected_time);
     model_order.push_back(model.pop());
   };
 
@@ -124,14 +119,14 @@ void run_random_trace(std::uint32_t seed, Time max_jump, bool use_run_top) {
 }
 
 TEST(EventQueueProperty, MatchesReferenceWithinWheelWindow) {
-  run_random_trace(/*seed=*/1, /*max_jump=*/EventQueue::kWindow / 2, /*use_run_top=*/false);
-  run_random_trace(/*seed=*/2, /*max_jump=*/EventQueue::kWindow / 2, /*use_run_top=*/true);
+  run_random_trace(/*seed=*/1, /*max_jump=*/EventQueue::kWindow / 2);
+  run_random_trace(/*seed=*/2, /*max_jump=*/EventQueue::kWindow / 2);
 }
 
 TEST(EventQueueProperty, MatchesReferenceAcrossFarTier) {
   // Jumps up to 4x the wheel span: events constantly cross between tiers.
-  run_random_trace(/*seed=*/3, /*max_jump=*/4 * EventQueue::kWindow, /*use_run_top=*/false);
-  run_random_trace(/*seed=*/4, /*max_jump=*/4 * EventQueue::kWindow, /*use_run_top=*/true);
+  run_random_trace(/*seed=*/3, /*max_jump=*/4 * EventQueue::kWindow);
+  run_random_trace(/*seed=*/4, /*max_jump=*/4 * EventQueue::kWindow);
 }
 
 // The 1e6-entry regression pin for the timing-wheel scaling work: a
@@ -237,7 +232,7 @@ TEST(EventQueueProperty, ManyDuplicateTimesStayFifo) {
     model.push(t, id);
   }
   while (!model.empty()) {
-    queue.pop().fn();
+    queue.run_top();
     model_order.push_back(model.pop());
   }
   EXPECT_EQ(queue_order, model_order);

@@ -18,11 +18,14 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(20, [&order] { order.push_back(2); });
 
   ASSERT_EQ(q.size(), 3u);
+  std::vector<Time> times;
   while (!q.empty()) {
-    Event e = q.pop();
-    e.fn();
+    Time now = 0;
+    q.run_top(&now);
+    times.push_back(now);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(times, (std::vector<Time>{10, 20, 30}));
 }
 
 TEST(EventQueue, EqualTimesAreFifo) {
@@ -31,7 +34,7 @@ TEST(EventQueue, EqualTimesAreFifo) {
   for (int i = 0; i < 50; ++i) {
     q.push(7, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run_top();
 
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -43,10 +46,12 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   q.push(5, [&order] { order.push_back(1); });
   q.push(5, [&order] { order.push_back(2); });
   EXPECT_EQ(q.next_time(), 5u);
-  q.pop().fn();                                // pops the first t=5 event
+  Time now = 0;
+  q.run_top(&now);                             // runs the first t=5 event
+  EXPECT_EQ(now, 5u);
   q.push(5, [&order] { order.push_back(3); });  // later insertion, same time
   q.push(1, [&order] { order.push_back(0); });  // earlier time wins regardless
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run_top();
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
 }
 

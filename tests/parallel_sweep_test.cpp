@@ -47,8 +47,8 @@ TEST(ThreadPool, ParallelForRunsAllBodiesDespiteExceptionAtAnyJobCount) {
 }
 
 TEST(ThreadPool, ResolveJobsZeroMeansHardware) {
-  EXPECT_GE(ThreadPool::resolve_jobs(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve_jobs(3), 3u);
+  EXPECT_GE(resolve_jobs(0), 1u);
+  EXPECT_EQ(resolve_jobs(3), 3u);
 }
 
 TEST(Aggregate, SummarizesKnownSamples) {

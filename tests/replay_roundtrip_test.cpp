@@ -179,8 +179,8 @@ TEST(ReplayRoundTrip, ShardedTracesCarryTheirKeyspaceConfig) {
 }
 
 TEST(ReplayRoundTrip, ScriptedScenarioExperimentsEnrollInTheSession) {
-  // E1/E2/E5 build their world by hand (ScriptedCluster) rather than via
-  // run_experiment; the scenario_key plumbing must still capture them.
+  // E1/E2/E5 drive a harness::Replica by hand instead of calling run(); the
+  // scenario_key enrollment must still capture them.
   for (const char* name : {"fig3_join_wait", "lemma2_active_bound",
                            "impossibility_async"}) {
     SCOPED_TRACE(name);

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "harness/experiment.h"
+#include "net/delay_model.h"
 #include "replay/hooks.h"
 #include "replay/trace.h"
 #include "shard/keyspace.h"
@@ -172,6 +174,17 @@ TEST(ShardedRun, RejectsAFaultPlan) {
                std::invalid_argument);
   cfg.shard_count = 0;  // the same plan on a single-register run is fine
   EXPECT_NO_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}));
+}
+
+TEST(ShardedRun, RejectsAnAdversarialDelayModel) {
+  // A scripted adversary replaces one world's delay model; a sharded run
+  // has several worlds, so it would silently apply to the first shard only.
+  harness::ExperimentConfig cfg = sharded_config();
+  EXPECT_THROW(harness::Replica(cfg, {}, std::make_unique<net::SynchronousDelay>(cfg.delta)),
+               std::invalid_argument);
+  cfg.shard_count = 0;
+  EXPECT_NO_THROW(
+      harness::Replica(cfg, {}, std::make_unique<net::SynchronousDelay>(cfg.delta)).run());
 }
 
 }  // namespace
